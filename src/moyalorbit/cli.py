@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from moyalorbit import gridio
-from moyalorbit.geometry import orbit_invariants, sample_orbit
+from moyalorbit.geometry import Spacetime, orbit_invariants, sample_orbit, standard_skew
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
 from moyalorbit.star import relative_l2, semiclassical_sweep, star_product
@@ -167,9 +167,7 @@ def cmd_sweep(args) -> int:
     g = SeparableGaussian(
         (GaussianFactor(-0.4, 1.1), GaussianFactor(0.3, 1.2))
     ).sample(spec)
-    from moyalorbit.suites import _plane_form
-
-    result = semiclassical_sweep(f, g, _plane_form(), thetas)
+    result = semiclassical_sweep(f, g, standard_skew(Spacetime(2, (1, -1))), thetas)
     out = Path(args.out) / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["theta,d1,d2,slope_d1,slope_d2"]

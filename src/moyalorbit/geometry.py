@@ -8,7 +8,7 @@ standard block form is the parameter manifold of the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -65,8 +65,13 @@ def read_grid(path) -> tuple:
         theta = float(sidecar.get("theta", 1.0))
         if "sigma" in sidecar:
             sigma = SkewForm(np.asarray(sidecar["sigma"]))
-    # header L is f32; round back to a clean double
-    spec = GridSpec(dim=dim, n=n, length=float(np.float32(length)), theta=theta)
+        if "length" in sidecar:
+            # the header holds L as f32; the sidecar holds it exactly
+            exact = float(sidecar["length"])
+            if np.float32(exact) != np.float32(length):
+                raise FormatError(f"sidecar length {exact} disagrees with header {length}")
+            length = exact
+    spec = GridSpec(dim=dim, n=n, length=float(length), theta=theta)
     count = spec.size
     if len(raw) - 16 != 16 * count:
         raise FormatError(f"expected {16 * count} payload bytes, found {len(raw) - 16}")

@@ -75,7 +75,7 @@ class GridFunction:
     __slots__ = ("spec", "values")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
+        values = np.array(values, dtype=complex)  # a copy: freezing must not reach the caller
         shape = (spec.n,) * spec.dim
         if values.shape != shape:
             raise ValueError(f"values must have shape {shape}, got {values.shape}")
@@ -174,14 +174,26 @@ def shift(f: GridFunction, s) -> GridFunction:
     return GridFunction(spec, inverse_array(fhat * ramp, spec))
 
 
+def separable_product(factors) -> np.ndarray:
+    """out[i, x_1, ..., x_d] = prod_a factors[a][i, x_a] for d (m, N) tables."""
+    out = factors[0]
+    for table in factors[1:]:
+        m, n = table.shape
+        out = out[..., None] * table.reshape((m,) + (1,) * (out.ndim - 1) + (n,))
+    return out
+
+
 def shift_batch(values_hat: np.ndarray, spec: GridSpec, shifts: np.ndarray) -> np.ndarray:
     """Shifted copies f(x + s_i) for a batch of shifts.
 
     values_hat: centered unweighted transform of f, shape (N,)*dim.
-    shifts: (m, dim).  Returns (m,) + (N,)*dim.
+    shifts: (m, dim).  Returns (m,) + (N,)*dim.  The ramp e(s.k) is built
+    as prod_a e(s_a k_a) from d exp tables of shape (m, N).
     """
-    k = spec.dual_mesh()
-    ramp = np.exp(2j * np.pi * np.tensordot(shifts, k, axes=(1, 0)))
+    k = spec.dual_axis()
+    ramp = separable_product(
+        [np.exp(2j * np.pi * np.outer(shifts[:, a], k)) for a in range(spec.dim)]
+    )
     return inverse_array(values_hat[None, ...] * ramp, spec)
 
 

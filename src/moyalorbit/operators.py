@@ -15,7 +15,7 @@ via one batch of band-limited shifts and one FFT over the dual index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

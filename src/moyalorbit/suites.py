@@ -24,7 +24,7 @@ from moyalorbit.geometry import (
     standard_skew,
     time_reversal,
 )
-from moyalorbit.grids import GridFunction, GridSpec
+from moyalorbit.grids import GridSpec
 from moyalorbit.operators import cstar_identity_check, build_left_regular_matrix
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 from moyalorbit.star import (

@@ -37,6 +37,26 @@ def test_grid_roundtrip_without_sigma(tmp_path):
     assert sigma is None
 
 
+def test_grid_roundtrip_keeps_exact_length(tmp_path):
+    spec = GridSpec(dim=2, n=8, length=8.3, theta=0.5)
+    f = GridFunction(spec, np.arange(64.0).reshape(8, 8))
+    path = tmp_path / "f.moya"
+    gridio.write_grid(path, f)
+    g, _ = gridio.read_grid(path)
+    assert g.spec == spec
+    assert g.spec.length == 8.3
+
+
+def test_sidecar_length_must_match_header(tmp_path):
+    f = random_grid()
+    path = tmp_path / "f.moya"
+    gridio.write_grid(path, f)
+    sidecar = path.with_suffix(".moya.json")
+    sidecar.write_text(sidecar.read_text().replace('"length": 8.0', '"length": 8.5'))
+    with pytest.raises(gridio.FormatError):
+        gridio.read_grid(path)
+
+
 def test_bad_magic_raises(tmp_path):
     path = tmp_path / "junk.moya"
     path.write_bytes(b"NOPE" + bytes(12))

@@ -112,6 +112,16 @@ def test_gridfunction_arithmetic_and_spec_guard():
         f + g
 
 
+def test_gridfunction_does_not_freeze_caller_array():
+    spec = GridSpec(dim=2, n=8, length=8.0)
+    vals = np.ones((8, 8), dtype=complex)
+    f = GridFunction(spec, vals)
+    assert vals.flags.writeable
+    vals[0, 0] = 2.0
+    assert f.values[0, 0] == 1.0
+    assert not f.values.flags.writeable
+
+
 def test_norm2_of_gaussian():
     # int exp(-2 pi |x|^2 / w^2) dx over R^2 = w^2 / 2
     spec = GridSpec(dim=2, n=64, length=8.0)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moyalorbit.geometry import SkewForm, q_form
-from moyalorbit.grids import GridFunction, GridSpec
+from moyalorbit.geometry import SkewForm, Spacetime, q_form, sample_orbit, standard_skew
+from moyalorbit.grids import GridFunction, GridSpec, fft_forward, forward_array, inverse_array
 from moyalorbit.oracle import (
     GaussianFactor,
     SeparableGaussian,
@@ -35,6 +37,40 @@ G_GAUSS = SeparableGaussian((GaussianFactor(-0.3, 1.4, 0.05), GaussianFactor(0.1
 # plane form, computed by adaptive quadrature of the reduced single integral
 # (two independent 1-D quad calls, tolerance 1e-11).
 ORACLE_POINT = 0.22048589984378358 + 0.009262104399166908j
+
+
+def reference_star_product(f, g, sigma):
+    """Per-node kernel with one exp per ramp and plane-wave entry.
+
+    out(q) = sum_p dp^d ghat(p) f(q - theta sigma p) e(q.p), accumulated in
+    batches of 128 dual nodes; the test reference for the fast kernels.
+    """
+    spec = f.spec
+    ghat = fft_forward(g).values.reshape(-1)
+    fhat = forward_array(f.values, spec)
+    nodes = spec.dual_nodes()
+    k = spec.dual_mesh()
+    x = spec.mesh()
+    out = np.zeros((spec.n,) * spec.dim, dtype=complex)
+    for start in range(0, nodes.shape[0], 128):
+        p = nodes[start : start + 128]
+        shifts = -spec.theta * (sigma.matrix @ p.T).T
+        ramp = np.exp(2j * np.pi * np.tensordot(shifts, k, axes=(1, 0)))
+        shifted = inverse_array(fhat[None, ...] * ramp, spec)
+        waves = np.exp(2j * np.pi * np.tensordot(p, x, axes=(1, 0)))
+        c = ghat[start : start + 128] * spec.dp**spec.dim
+        out += np.einsum("c,c...->...", c, shifted * waves)
+    return out
+
+
+def random_grid(spec, seed):
+    rng = np.random.default_rng(seed)
+    shape = (spec.n,) * spec.dim
+    return GridFunction(spec, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 def spec64(theta=1.0):
@@ -191,3 +227,56 @@ def test_interior_mask_and_relative_l2():
     assert np.all(np.max(np.abs(x), axis=0)[mask] <= 1.0)
     f = GridFunction(spec, np.ones((16, 16), dtype=complex))
     assert relative_l2(f, f) == 0.0
+
+
+def test_relative_l2_rejects_zero_reference():
+    spec = GridSpec(dim=2, n=8, length=8.0)
+    zero = GridFunction(spec, np.zeros((8, 8)))
+    with pytest.raises(ValueError):
+        relative_l2(zero, zero)
+    with pytest.raises(ValueError):
+        relative_l2(random_grid(spec, 0), zero)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("s", [1.0, -1.0, 0.0])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_plane_split_matches_reference_kernel(n, s, theta):
+    spec = GridSpec(dim=2, n=n, length=8.0, theta=theta)
+    f = F_GAUSS.sample(spec) * random_grid(spec, 1)
+    g = G_GAUSS.sample(spec)
+    sigma = PLANE.scaled(s)
+    out = star_product(f, g, sigma).values
+    assert max_rel(out, reference_star_product(f, g, sigma)) <= 1e-13
+
+
+def test_factored_ramps_match_reference_kernel_d4():
+    st4 = Spacetime()
+    base = standard_skew(st4)
+    dense = sample_orbit(st4, 3, 7, base)[2][1]
+    assert np.all(dense.matrix[~np.eye(4, dtype=bool)] != 0.0)
+    spec = GridSpec(dim=4, n=8, length=8.0, theta=1.0)
+    x = spec.mesh()
+    f = GridFunction(spec, np.exp(-np.pi * np.sum((x - 0.2) ** 2, axis=0) / 1.5))
+    g = GridFunction(spec, np.exp(-np.pi * np.sum((x + 0.1) ** 2, axis=0) / 1.7 + 0.4j * x[0]))
+    for sigma in (base, dense):
+        out = star_product(f, g, sigma).values
+        assert max_rel(out, reference_star_product(f, g, sigma)) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([8, 16]),
+    theta=st.floats(0.1, 4.0),
+    s=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reversed_form_swaps_factors(n, theta, s, seed):
+    # f *_{-sigma} g = g *_sigma f holds exactly on the lattice
+    spec = GridSpec(dim=2, n=n, length=8.0, theta=theta)
+    f = random_grid(spec, seed)
+    g = random_grid(spec, seed + 1)
+    sigma = PLANE.scaled(s)
+    lhs = star_product(f, g, sigma.scaled(-1.0)).values
+    rhs = star_product(g, f, sigma).values
+    assert max_rel(lhs, rhs) <= 1e-12
