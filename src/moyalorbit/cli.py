@@ -26,7 +26,7 @@ from moyalorbit.geometry import Spacetime, orbit_invariants, sample_orbit, stand
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
 from moyalorbit.star import relative_l2, semiclassical_sweep, star_product
-from moyalorbit.suites import SUITE_NAMES, RunConfig, run_suite
+from moyalorbit.suites import SUITE_NAMES, RunConfig, run_suite, semiclassical_pair
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -160,13 +160,7 @@ def cmd_sweep(args) -> int:
     except ValueError:
         print("error: --theta must be a comma-separated float list", file=sys.stderr)
         return USAGE_ERROR
-    spec = GridSpec(dim=2, n=cfg.n, length=cfg.length, theta=1.0)
-    f = SeparableGaussian(
-        (GaussianFactor(0.5, 1.2), GaussianFactor(0.0, 1.3))
-    ).sample(spec)
-    g = SeparableGaussian(
-        (GaussianFactor(-0.4, 1.1), GaussianFactor(0.3, 1.2))
-    ).sample(spec)
+    f, g = semiclassical_pair(cfg)
     result = semiclassical_sweep(f, g, standard_skew(Spacetime(2, (1, -1))), thetas)
     out = Path(args.out) / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)

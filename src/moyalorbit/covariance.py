@@ -23,7 +23,7 @@ from moyalorbit.grids import (
     GridFunction,
     GridSpec,
     forward_array,
-    inverse_array,
+    separable_product,
     shift,
 )
 
@@ -106,23 +106,6 @@ class RealLineFunction:
         return cls(sample, spec1d, vals)
 
 
-def _shift_1d(values: np.ndarray, spec1d: GridSpec, s: float) -> np.ndarray:
-    """r -> psi(r + s) by Fourier phase ramp, row-wise."""
-    vhat = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values, axes=-1), axis=-1), axes=-1)
-    ramp = np.exp(2j * np.pi * s * spec1d.dual_axis())
-    out = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(vhat * ramp, axes=-1), axis=-1), axes=-1)
-    return out
-
-
-def _interp_1d(values: np.ndarray, spec1d: GridSpec, r_pts: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation of one fiber at arbitrary points."""
-    coeffs = (
-        np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values))) * spec1d.dx
-    )
-    waves = np.exp(2j * np.pi * np.outer(r_pts, spec1d.dual_axis()))
-    return (waves @ coeffs) * spec1d.dp
-
-
 def tau_act(x, f: FiberedFunction) -> FiberedFunction:
     """(tau_x F)(T, q) = F(T, q + T x), fiberwise phase-ramp shift."""
     x = np.asarray(x, dtype=float)
@@ -147,24 +130,25 @@ def rho_act(alpha, x, psi: RealLineFunction) -> RealLineFunction:
     """(rho_x psi)(T, r) = psi(T, r + alpha(T x)), fiberwise 1-D shift."""
     alpha = np.asarray(alpha, dtype=float)
     x = np.asarray(x, dtype=float)
-    rows = []
-    for t, row in zip(psi.sample.transforms, psi.values):
-        rows.append(_shift_1d(row, psi.spec1d, float(alpha @ (t.matrix @ x))))
+    rows = [
+        shift(GridFunction(psi.spec1d, row), alpha @ (t.matrix @ x)).values
+        for t, row in zip(psi.sample.transforms, psi.values)
+    ]
     return RealLineFunction(psi.sample, psi.spec1d, np.stack(rows))
 
 
 def phi_alpha(alpha, psi: RealLineFunction, grid: GridSpec) -> FiberedFunction:
     """(Phi^alpha psi)(T, q) = psi(T, alpha(q)), by spectral interpolation."""
     alpha = np.asarray(alpha, dtype=float)
-    if grid.length != psi.spec1d.length:
+    spec1d = psi.spec1d
+    if grid.length != spec1d.length:
         raise ValueError("grid and line function box lengths must agree")
-    x = grid.mesh()
-    r_pts = np.tensordot(alpha, x, axes=(0, 0)).reshape(-1)
-    fibers = []
-    for row in psi.values:
-        vals = _interp_1d(row, psi.spec1d, r_pts)
-        fibers.append(GridFunction(grid, vals.reshape((grid.n,) * grid.dim)))
-    return FiberedFunction(psi.sample, tuple(fibers))
+    coeffs = forward_array(psi.values, spec1d) * spec1d.dx  # (n_fibers, N)
+    pq = np.outer(spec1d.dual_axis(), grid.axis())
+    # e(alpha(q) p) = prod_a e(alpha_a p q_a): one table [p, q] for every fiber
+    waves = separable_product([np.exp(2j * np.pi * a * pq) for a in alpha])
+    values = np.tensordot(coeffs, waves, axes=(1, 0)) * spec1d.dp
+    return FiberedFunction(psi.sample, tuple(GridFunction(grid, v) for v in values))
 
 
 def check_phi_equivariance(alpha, x, psi: RealLineFunction, grid: GridSpec) -> float:

@@ -126,15 +126,10 @@ class GridFunction:
         return f"GridFunction(dim={self.spec.dim}, n={self.spec.n})"
 
 
-def _centered_fftn(values: np.ndarray, axes) -> np.ndarray:
+def _centered(transform, values: np.ndarray, axes) -> np.ndarray:
+    """An np.fft transform over axes, with index 0 at the center of each axis."""
     return np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes), axes=axes
-    )
-
-
-def _centered_ifftn(values: np.ndarray, axes) -> np.ndarray:
-    return np.fft.fftshift(
-        np.fft.ifftn(np.fft.ifftshift(values, axes=axes), axes=axes), axes=axes
+        transform(np.fft.ifftshift(values, axes=axes), axes=axes), axes=axes
     )
 
 
@@ -142,7 +137,8 @@ def fft_forward(f: GridFunction) -> GridFunction:
     """ghat(p) = sum_x g(x) e(-2 pi i x.p) dx^d on the centered dual lattice."""
     spec = f.spec
     axes = tuple(range(spec.dim))
-    return GridFunction(spec, _centered_fftn(f.values, axes) * spec.dx**spec.dim)
+    scale = spec.dx**spec.dim
+    return GridFunction(spec, _centered(np.fft.fftn, f.values, axes) * scale)
 
 
 def fft_inverse(fhat: GridFunction) -> GridFunction:
@@ -150,28 +146,18 @@ def fft_inverse(fhat: GridFunction) -> GridFunction:
     spec = fhat.spec
     axes = tuple(range(spec.dim))
     scale = spec.size * spec.dp**spec.dim
-    return GridFunction(spec, _centered_ifftn(fhat.values, axes) * scale)
+    return GridFunction(spec, _centered(np.fft.ifftn, fhat.values, axes) * scale)
 
 
 def forward_array(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Centered forward transform of the trailing dim axes (no dx weight)."""
     axes = tuple(range(values.ndim - spec.dim, values.ndim))
-    return _centered_fftn(values, axes)
+    return _centered(np.fft.fftn, values, axes)
 
 
 def inverse_array(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     axes = tuple(range(values.ndim - spec.dim, values.ndim))
-    return _centered_ifftn(values, axes)
-
-
-def shift(f: GridFunction, s) -> GridFunction:
-    """x -> f(x + s) for an arbitrary real shift s, via a Fourier phase ramp."""
-    s = np.asarray(s, dtype=float)
-    spec = f.spec
-    fhat = forward_array(f.values, spec)
-    k = spec.dual_mesh()
-    ramp = np.exp(2j * np.pi * np.tensordot(s, k, axes=(0, 0)))
-    return GridFunction(spec, inverse_array(fhat * ramp, spec))
+    return _centered(np.fft.ifftn, values, axes)
 
 
 def separable_product(factors) -> np.ndarray:
@@ -195,6 +181,24 @@ def shift_batch(values_hat: np.ndarray, spec: GridSpec, shifts: np.ndarray) -> n
         [np.exp(2j * np.pi * np.outer(shifts[:, a], k)) for a in range(spec.dim)]
     )
     return inverse_array(values_hat[None, ...] * ramp, spec)
+
+
+def shift(f: GridFunction, s) -> GridFunction:
+    """x -> f(x + s) for an arbitrary real shift s: shift_batch with one row."""
+    spec = f.spec
+    shifts = np.asarray(s, dtype=float).reshape(1, spec.dim)
+    return GridFunction(spec, shift_batch(forward_array(f.values, spec), spec, shifts)[0])
+
+
+def plane_waves(spec: GridSpec, index: np.ndarray) -> np.ndarray:
+    """e(x.p) on the grid for a batch of dual nodes p.
+
+    index: integer positions of the nodes in the row-major spec.dual_nodes().
+    Returns (m,) + (N,)*dim, built as prod_a e(p_a x_a) from one N x N table.
+    """
+    table = np.exp(2j * np.pi * np.outer(spec.dual_axis(), spec.axis()))  # e(p_m x_i)
+    axis_index = np.unravel_index(index, (spec.n,) * spec.dim)
+    return separable_product([table[i] for i in axis_index])
 
 
 def modulation(spec: GridSpec, alpha) -> np.ndarray:

@@ -10,7 +10,8 @@ matrix is assembled in closed form,
 
     M[x, y] = N^-d sum_k f(x - theta sigma k) e((x - y).k),
 
-via one batch of band-limited shifts and one FFT over the dual index.
+via one batch of band-limited shifts times the plane waves of
+grids.plane_waves and one FFT over the dual index.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from moyalorbit.geometry import SkewForm
-from moyalorbit.grids import GridFunction, GridSpec, forward_array, shift_batch
+from moyalorbit.grids import GridFunction, GridSpec, forward_array, plane_waves, shift_batch
 
 MAX_SIDE = 4096
 
@@ -55,19 +56,14 @@ def build_left_regular_matrix(
         raise ValueError("operator matrices are desk-scale: d <= 2 only")
     if spec.size > MAX_SIDE:
         raise ValueError(f"matrix side {spec.size} exceeds {MAX_SIDE}")
-    theta = spec.theta
     nodes = spec.dual_nodes()  # (M, d), row-major centered order
-    fhat = forward_array(f.values, spec)
-    # A[k, x] = f(x - theta sigma k)
-    shifts = -theta * (sigma.matrix @ nodes.T).T
-    a = shift_batch(fhat, spec, shifts)  # (M,) + grid shape
     m = spec.size
-    a = a.reshape(m, m)  # [k, x]
-    x = spec.mesh().reshape(spec.dim, -1)  # (d, M)
-    waves = np.exp(2j * np.pi * (x.T @ nodes.T))  # [x, k] = e(x.k)
-    b = a.T * waves  # [x, k]
-    # sum_k B[x, k] e(-y.k): centered forward transform over the k axes
-    b = b.reshape((m,) + (spec.n,) * spec.dim)
+    # B[k, x] = f(x - theta sigma k) e(x.k)
+    shifts = -spec.theta * (sigma.matrix @ nodes.T).T
+    b = shift_batch(forward_array(f.values, spec), spec, shifts)
+    b *= plane_waves(spec, np.arange(m))
+    # sum_k B[k, x] e(-y.k): centered forward transform over the k axes
+    b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)
     mtx = forward_array(b, spec).reshape(m, m) / spec.size
     return OperatorMatrix(mtx, spec, sigma, provenance)
 

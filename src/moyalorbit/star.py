@@ -21,8 +21,8 @@ sigma and the lattice.  Two evaluation paths, chosen by dimension:
   transform along axis 1: O(N^3 log N) work and N^2 exps.
 - other d (general sigma): per-dual-node accumulation, O(N^{2d} log N)
   work, with every ramp and plane wave assembled from per-axis exp tables
-  (d tables of shape (chunk, N) per batch and one N x N wave table) instead
-  of N^{2d} exps.
+  (d tables of shape (chunk, N) per batch and the N x N table of
+  grids.plane_waves) instead of N^{2d} exps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from moyalorbit.grids import (
     forward_array,
     inverse_array,
     modulation,
-    separable_product,
+    plane_waves,
     shift,
     shift_batch,
     spectral_gradient,
@@ -84,8 +84,7 @@ def _star_nodes(
 ) -> np.ndarray:
     """Any d: accumulate over dual nodes p, with separable ramps and waves."""
     nodes = spec.dual_nodes()  # fixed row-major order
-    axis_index = np.indices((spec.n,) * spec.dim).reshape(spec.dim, -1).T
-    waves = np.exp(2j * np.pi * np.outer(spec.dual_axis(), spec.axis()))  # e(p_m x_i)
+    index = np.arange(nodes.shape[0])
     weights = ghat.reshape(-1) * spec.dp**spec.dim
     out = np.zeros((spec.n,) * spec.dim, dtype=complex)
     for start in range(0, nodes.shape[0], _CHUNK):
@@ -93,7 +92,7 @@ def _star_nodes(
         # f(q - theta sigma p) = (shift by -theta sigma p)(q)
         shifts = -spec.theta * (sigma.matrix @ nodes[batch].T).T
         shifted = shift_batch(fhat, spec, shifts)
-        wave = separable_product([waves[axis_index[batch, a]] for a in range(spec.dim)])
+        wave = plane_waves(spec, index[batch])
         out += np.einsum("c,c...->...", weights[batch], shifted * wave)
     return out
 

@@ -134,7 +134,15 @@ def _plane_spacetime() -> Spacetime:
 
 
 def _plane_form() -> SkewForm:
-    return SkewForm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return standard_skew(_plane_spacetime())
+
+
+def semiclassical_pair(cfg: RunConfig) -> tuple:
+    """The semiclassical Gaussian pair (f, g) on the N=n, L=length, theta=1 plane grid."""
+    spec = GridSpec(dim=2, n=cfg.n, length=cfg.length, theta=1.0)
+    f = SeparableGaussian((GaussianFactor(0.5, 1.2), GaussianFactor(0.0, 1.3)))
+    g = SeparableGaussian((GaussianFactor(-0.4, 1.1), GaussianFactor(0.3, 1.2)))
+    return f.sample(spec), g.sample(spec)
 
 
 def suite_weyl(cfg: RunConfig, n_draws: int = 100) -> dict:
@@ -272,15 +280,8 @@ def suite_cstar(cfg: RunConfig) -> dict:
 
 def suite_semiclassical(cfg: RunConfig, thetas=(1.0, 0.5, 0.25, 0.125, 0.0625)) -> dict:
     """Log-log slopes of the commutative-limit defects D1 and D2."""
-    sigma = _plane_form()
-    spec = GridSpec(dim=2, n=cfg.n, length=cfg.length, theta=1.0)
-    f = SeparableGaussian(
-        (GaussianFactor(0.5, 1.2), GaussianFactor(0.0, 1.3))
-    ).sample(spec)
-    g = SeparableGaussian(
-        (GaussianFactor(-0.4, 1.1), GaussianFactor(0.3, 1.2))
-    ).sample(spec)
-    result = semiclassical_sweep(f, g, sigma, thetas)
+    f, g = semiclassical_pair(cfg)
+    result = semiclassical_sweep(f, g, _plane_form(), thetas)
     checks = [
         _check("slope_d1", result["slope_d1"], cfg.tol("slope_d1"), mode="range"),
         _check("slope_d2", result["slope_d2"], cfg.tol("slope_d2"), mode="range"),

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from moyalorbit.cli import main
+from moyalorbit.suites import RunConfig, suite_semiclassical
 
 PLANE_CFG = {"dim": 2, "metric": [1, -1], "grid": {"n": 32}}
 
@@ -89,6 +90,20 @@ def test_sweep_writes_csv(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "theta,d1,d2,slope_d1,slope_d2"
     assert len(lines) == 3
+
+
+def test_sweep_rows_equal_suite_semiclassical_rows(tmp_path):
+    # sweep and the semiclassical suite run the same fixture on the same grid
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    rc = main(["--config", cfg, "sweep", "--theta", "1,0.5,0.25", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    csv_rows = [
+        dict(zip(("theta", "d1", "d2"), (float(v) for v in line.split(",")[:3])))
+        for line in lines
+    ]
+    suite = suite_semiclassical(RunConfig.from_dict(PLANE_CFG), thetas=(1.0, 0.5, 0.25))
+    assert csv_rows == suite["rows"]
 
 
 def test_sweep_bad_theta_is_usage_error(tmp_path):

@@ -86,6 +86,40 @@ def test_phi_alpha_equivariance():
     assert cov.check_phi_equivariance(alpha, x, psi, SPEC) < 1e-9
 
 
+def periodic_gaussian(r, c, w, length=8.0):
+    # the trigonometric interpolant of a sampled line Gaussian is its
+    # length-periodic sum
+    return sum(np.exp(-np.pi * (r - c - j * length) ** 2 / w**2) for j in range(-2, 3))
+
+
+@pytest.mark.parametrize(
+    "alpha", [(1.0, -1.0), (0.5, 0.375)], ids=["integer", "fractional"]
+)
+def test_phi_alpha_matches_closed_form(alpha):
+    sample = small_sample(seed=8, size=2)
+    centers, w = (0.1, -0.3), 1.1
+    r = SPEC1D.axis()
+    psi = cov.RealLineFunction(
+        sample, SPEC1D, np.stack([np.exp(-np.pi * (r - c) ** 2 / w**2) for c in centers])
+    )
+    out = cov.phi_alpha(np.array(alpha), psi, SPEC)
+    aq = np.tensordot(np.array(alpha), SPEC.mesh(), axes=(0, 0))
+    for fib, c in zip(out.fibers, centers):
+        assert np.max(np.abs(fib.values - periodic_gaussian(aq, c, w))) <= 1e-10
+
+
+def test_rho_act_matches_analytic_shift():
+    sample = small_sample(seed=9, size=3)
+    c, w = 0.1, 1.1
+    psi = line_gaussian(sample, c=c, w=w)
+    alpha, x = np.array([1.0, 0.5]), np.array([0.3, -0.2])
+    out = cov.rho_act(alpha, x, psi)
+    r = SPEC1D.axis()
+    for t, row in zip(sample.transforms, out.values):
+        a = alpha @ (t.matrix @ x)
+        assert np.max(np.abs(row - periodic_gaussian(r + a, c, w))) <= 1e-10
+
+
 def test_pointwise_theorem_integer_covector():
     sample = small_sample(seed=3, size=3)
     psi1 = line_gaussian(sample, c=0.0, w=1.2)

@@ -1,14 +1,19 @@
 """Centered grids, FFT conventions, shifts, and spectral derivatives."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import moyalorbit
 from moyalorbit.grids import (
     GridFunction,
     GridSpec,
     fft_forward,
     fft_inverse,
     modulation,
+    plane_waves,
     shift,
     shift_batch,
     forward_array,
@@ -128,3 +133,50 @@ def test_norm2_of_gaussian():
     w = 1.3
     f = gaussian_2d(spec, w=w)
     assert abs(f.norm2() - np.sqrt(w**2 / 2.0)) < 1e-9
+
+
+def test_plane_waves_match_modulation():
+    spec = GridSpec(dim=3, n=8, length=6.0)
+    index = np.array([0, 5, 77, 300, spec.size - 1])
+    waves = plane_waves(spec, index)
+    for wave, p in zip(waves, spec.dual_nodes()[index]):
+        assert np.max(np.abs(wave - modulation(spec, p))) < 1e-12
+
+
+FFT_MODULES = ("fft", "fftpack")
+
+
+def _fft_calls(source: str) -> list:
+    """Lines that reach numpy.fft or scipy.fft(pack): attribute use or import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found = node.attr in FFT_MODULES
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            found = parts[0] in ("numpy", "scipy") and (
+                any(p in FFT_MODULES for p in parts)
+                or any(a.name in FFT_MODULES for a in node.names)
+            )
+        elif isinstance(node, ast.Import):
+            found = any(
+                p in FFT_MODULES for a in node.names for p in a.name.split(".")
+            )
+        else:
+            found = False
+        if found:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_grids_calls_fft():
+    # one set of centered-transform helpers: every other module goes
+    # through the grids functions
+    package = Path(moyalorbit.__file__).parent
+    offenders = {
+        path.name: _fft_calls(path.read_text())
+        for path in sorted(package.glob("*.py"))
+        if path.name != "grids.py"
+    }
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+    assert _fft_calls((package / "grids.py").read_text())  # the guard sees real calls

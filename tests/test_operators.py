@@ -33,11 +33,16 @@ def gaussians(spec):
     return f, g
 
 
-def test_apply_matches_star_product():
-    spec = GridSpec(dim=2, n=16, length=8.0, theta=1.0)
+@pytest.mark.parametrize("s", [1.0, -1.0, 0.0])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_apply_matches_star_product(theta, s):
+    # over the plane orbit sigma = sJ: the matrix and the kernel share one
+    # shift and plane-wave table, and must give the same product
+    spec = GridSpec(dim=2, n=16, length=8.0, theta=theta)
     f, g = gaussians(spec)
-    op = build_left_regular_matrix(f, PLANE)
-    direct = star_product(f, g, PLANE)
+    sigma = PLANE.scaled(s)
+    op = build_left_regular_matrix(f, sigma)
+    direct = star_product(f, g, sigma)
     assert (apply_operator(op, g) - direct).max_abs() < 1e-11
 
 
