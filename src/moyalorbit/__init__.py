@@ -1,13 +1,15 @@
 """Deformed (Weyl-Moyal) products over a Lorentz orbit of skew forms.
 
-Subpackages:
+Modules:
     geometry    -- metric, Lorentz transforms, the orbit of the standard skew form
     weyl        -- exact twisted group algebra of Weyl unitaries
     grids       -- periodic grids, centered FFT conventions, band-limited shifts
+    gridio      -- the .moya grid file format and its JSON sidecar
     star        -- FFT star product, Weyl action, commutators, semiclassical sweep
     operators   -- left-regular operator matrices and the C*-identity check
     oracle      -- independent adaptive-quadrature evaluation of the star product
     covariance  -- fibered functions over group samples and the group actions
+    suites      -- named verification suites and their run configuration
     cli         -- command-line driver
 """
 

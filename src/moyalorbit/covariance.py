@@ -26,8 +26,11 @@ from moyalorbit.grids import (
     separable_product,
     shift,
 )
+from moyalorbit.star import relative_l2, star_product
 
-MATCH_TOL = 1e-9
+MATCH_TOL = 1e-9  # max-entry distance at which GroupSample.index_of matches
+MODULUS_POINTS = 4096
+MODULUS_RADIUS = 20.0
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,9 @@ class GroupSample:
     def __len__(self) -> int:
         return len(self.transforms)
 
-    def index_of(self, matrix: np.ndarray, tol: float = MATCH_TOL) -> int:
+    def index_of(self, matrix: np.ndarray) -> int:
         for i, t in enumerate(self.transforms):
-            if np.max(np.abs(t.matrix - matrix)) <= tol:
+            if np.max(np.abs(t.matrix - matrix)) <= MATCH_TOL:
                 return i
         raise KeyError("transform not found in sample")
 
@@ -179,15 +182,16 @@ def restrict_to_E(f: FiberedFunction, subset) -> FiberedFunction:
     return FiberedFunction(sample, tuple(f.fibers[i] for i in subset))
 
 
-def modulus_of_continuity(alpha, phi, sample: GroupSample, xs, n_r: int = 4096, r_max: float = 20.0) -> list:
+def modulus_of_continuity(alpha, phi, sample: GroupSample, xs) -> list:
     """sup over T in the sample and r of |phi(r - alpha(Tx)) - phi(r)| per x.
 
-    phi is a callable on the real line, sampled on [-r_max, r_max].  For a
-    bounded sample and Lipschitz phi the modulus is <= Lip * sup|alpha^t T| * |x|;
-    along an unbounded boost sequence it need not vanish as x -> 0.
+    phi is a callable on the real line, sampled at MODULUS_POINTS points of
+    [-MODULUS_RADIUS, MODULUS_RADIUS].  For a bounded sample and Lipschitz phi
+    the modulus is <= Lip * sup|alpha^t T| * |x|; along an unbounded boost
+    sequence it need not vanish as x -> 0.
     """
     alpha = np.asarray(alpha, dtype=float)
-    r = np.linspace(-r_max, r_max, n_r)
+    r = np.linspace(-MODULUS_RADIUS, MODULUS_RADIUS, MODULUS_POINTS)
     base = np.asarray(phi(r))
     out = []
     for x in xs:
@@ -204,8 +208,6 @@ def fibered_star_product(
     f: FiberedFunction, g: FiberedFunction, sigma0: SkewForm
 ) -> FiberedFunction:
     """Fiberwise star product; fiber T deforms along T sigma0 T^t."""
-    from moyalorbit.star import star_product
-
     if f.spec != g.spec:
         raise ValueError("grid specs do not match")
     fibers = []
@@ -231,14 +233,9 @@ def check_pointwise_theorem(
     f1 = phi_alpha(alpha, psi1, grid)
     f2 = phi_alpha(a2, psi2, grid)
     prod = fibered_star_product(f1, f2, sigma0)
-    worst = 0.0
-    for t, fib, c1, c2 in zip(
-        psi1.sample.transforms, prod.fibers, f1.fibers, f2.fibers
-    ):
-        ref = c1.values * c2.values
-        defect = np.linalg.norm(fib.values - ref) / np.linalg.norm(ref)
-        worst = max(worst, float(defect))
-    return worst
+    return max(
+        relative_l2(fib, c1 * c2) for fib, c1, c2 in zip(prod.fibers, f1.fibers, f2.fibers)
+    )
 
 
 def lift_from_sigma(h, sample: GroupSample, sigma0: SkewForm) -> FiberedFunction:

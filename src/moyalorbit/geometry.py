@@ -14,6 +14,8 @@ import numpy as np
 
 LORENTZ_TOL = 1e-12
 SKEW_DET_TOL = 1e-12
+STABILIZER_TOL = 1e-9  # max-entry tolerance of in_stabilizer
+PROJECTION_SWEEPS = 3  # Newton sweeps of _project_to_group
 
 
 class DimensionError(ValueError):
@@ -103,8 +105,8 @@ class SkewForm:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def assert_invertible(self, tol: float = SKEW_DET_TOL) -> None:
-        if abs(np.linalg.det(self.matrix)) <= tol:
+    def assert_invertible(self) -> None:
+        if abs(np.linalg.det(self.matrix)) <= SKEW_DET_TOL:
             raise ValueError("skew form is not invertible")
 
     @classmethod
@@ -198,11 +200,11 @@ def time_reversal(st: Spacetime) -> LorentzTransform:
     return LorentzTransform(np.diag([-1.0 if m == 1 else 1.0 for m in st.metric]), st)
 
 
-def _project_to_group(m: np.ndarray, eta: np.ndarray, sweeps: int = 3) -> np.ndarray:
+def _project_to_group(m: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Newton sweeps toward T^t eta T = eta, removing accumulated roundoff."""
     x = m.copy()
     eta_inv = eta  # signature matrices are involutions
-    for _ in range(sweeps):
+    for _ in range(PROJECTION_SWEEPS):
         x = 0.5 * (x + eta_inv @ np.linalg.inv(x).T @ eta)
     return x
 
@@ -276,7 +278,7 @@ def orbit_invariants(sigma: SkewForm, st: Spacetime | None = None) -> np.ndarray
     return np.array(vals)
 
 
-def in_stabilizer(s: LorentzTransform, sigma: SkewForm, tol: float = 1e-9) -> bool:
+def in_stabilizer(s: LorentzTransform, sigma: SkewForm) -> bool:
     """True iff S sigma S^t = sigma within the max-entry tolerance."""
     moved = s.matrix @ sigma.matrix @ s.matrix.T
-    return bool(np.max(np.abs(moved - sigma.matrix)) <= tol)
+    return bool(np.max(np.abs(moved - sigma.matrix)) <= STABILIZER_TOL)

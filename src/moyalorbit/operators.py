@@ -22,6 +22,7 @@ import numpy as np
 
 from moyalorbit.geometry import SkewForm
 from moyalorbit.grids import GridFunction, GridSpec, forward_array, plane_waves, shift_batch
+from moyalorbit.star import involution, star_product
 
 MAX_SIDE = 4096
 
@@ -47,9 +48,7 @@ class OperatorMatrix:
         return self.matrix.conj().T
 
 
-def build_left_regular_matrix(
-    f: GridFunction, sigma: SkewForm, provenance: str = ""
-) -> OperatorMatrix:
+def build_left_regular_matrix(f: GridFunction, sigma: SkewForm) -> OperatorMatrix:
     """Matrix of eta -> f * eta on grid vectors (d <= 2 enforced)."""
     spec = f.spec
     if spec.dim > 2:
@@ -65,7 +64,7 @@ def build_left_regular_matrix(
     # sum_k B[k, x] e(-y.k): centered forward transform over the k axes
     b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)
     mtx = forward_array(b, spec).reshape(m, m) / spec.size
-    return OperatorMatrix(mtx, spec, sigma, provenance)
+    return OperatorMatrix(mtx, spec, sigma)
 
 
 def apply_operator(op: OperatorMatrix, eta: GridFunction) -> GridFunction:
@@ -77,11 +76,8 @@ def apply_operator(op: OperatorMatrix, eta: GridFunction) -> GridFunction:
 
 def cstar_identity_check(f: GridFunction, sigma: SkewForm) -> dict:
     """Norms of L_f and L_{f* x f} and the relative C*-identity defect."""
-    from moyalorbit.star import involution, star_product
-
-    lf = build_left_regular_matrix(f, sigma, "f")
-    fsf = star_product(involution(f), f, sigma)
-    lfsf = build_left_regular_matrix(fsf, sigma, "f* x f")
+    lf = build_left_regular_matrix(f, sigma)
+    lfsf = build_left_regular_matrix(star_product(involution(f), f, sigma), sigma)
     norm_f = lf.spectral_norm()
     norm_fsf = lfsf.spectral_norm()
     defect = abs(norm_fsf - norm_f**2) / norm_f**2

@@ -22,6 +22,14 @@ from scipy.integrate import quad
 from moyalorbit.geometry import SkewForm
 from moyalorbit.grids import GridFunction, GridSpec
 
+QUAD_TOL = 1e-11  # absolute and relative tolerance of each 1-D quad
+ORACLE_STRIDE = 8  # oracle_defect compares every 8th node per axis
+# random_gaussian draws: center in +-CENTER_SCALE, width in WIDTH_RANGE,
+# modulation frequency in +-FREQ_SCALE
+CENTER_SCALE = 0.3
+WIDTH_RANGE = (1.1, 1.6)
+FREQ_SCALE = 0.15
+
 
 @dataclass(frozen=True)
 class GaussianFactor:
@@ -69,19 +77,13 @@ class SeparableGaussian:
         return GridFunction.from_callable(spec, self)
 
 
-def random_gaussian(
-    rng: np.random.Generator,
-    dim: int,
-    center_scale: float = 0.3,
-    width_range: tuple = (1.1, 1.6),
-    freq_scale: float = 0.15,
-) -> SeparableGaussian:
+def random_gaussian(rng: np.random.Generator, dim: int) -> SeparableGaussian:
     """A seeded random separable Gaussian, concentrated well inside the box."""
     factors = tuple(
         GaussianFactor(
-            center=float(rng.uniform(-center_scale, center_scale)),
-            width=float(rng.uniform(*width_range)),
-            freq=float(rng.uniform(-freq_scale, freq_scale)),
+            center=float(rng.uniform(-CENTER_SCALE, CENTER_SCALE)),
+            width=float(rng.uniform(*WIDTH_RANGE)),
+            freq=float(rng.uniform(-FREQ_SCALE, FREQ_SCALE)),
         )
         for _ in range(dim)
     )
@@ -95,9 +97,10 @@ def _sigma_scale(sigma: SkewForm) -> float:
     return float(sigma.matrix[0, 1])
 
 
-def _complex_quad(fn, tol: float) -> complex:
-    re = quad(lambda t: fn(t).real, -np.inf, np.inf, epsabs=tol, epsrel=tol, limit=200)[0]
-    im = quad(lambda t: fn(t).imag, -np.inf, np.inf, epsabs=tol, epsrel=tol, limit=200)[0]
+def _complex_quad(fn) -> complex:
+    kw = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
+    re = quad(lambda t: fn(t).real, -np.inf, np.inf, **kw)[0]
+    im = quad(lambda t: fn(t).imag, -np.inf, np.inf, **kw)[0]
     return complex(re, im)
 
 
@@ -107,7 +110,6 @@ def star_oracle_point(
     sigma: SkewForm,
     theta: float,
     q,
-    tol: float = 1e-11,
 ) -> complex:
     """Adaptive-quadrature value of (f x g)(q) for d = 2 separable Gaussians."""
     s = _sigma_scale(sigma)
@@ -121,24 +123,7 @@ def star_oracle_point(
     def int2(p2):
         return f1(q1 - theta * s * p2) * g2.hat(p2) * np.exp(2j * np.pi * q2 * p2)
 
-    return _complex_quad(int1, tol) * _complex_quad(int2, tol)
-
-
-def star_oracle_grid(
-    f: SeparableGaussian,
-    g: SeparableGaussian,
-    sigma: SkewForm,
-    spec: GridSpec,
-    stride: int = 8,
-    tol: float = 1e-11,
-) -> tuple:
-    """Oracle values on a strided subgrid; returns (points, values)."""
-    axis = spec.axis()[::stride]
-    pts = np.stack(np.meshgrid(axis, axis, indexing="ij")).reshape(2, -1).T
-    vals = np.array(
-        [star_oracle_point(f, g, sigma, spec.theta, q, tol=tol) for q in pts]
-    )
-    return pts, vals
+    return _complex_quad(int1) * _complex_quad(int2)
 
 
 def oracle_defect(
@@ -146,11 +131,12 @@ def oracle_defect(
     f: SeparableGaussian,
     g: SeparableGaussian,
     sigma: SkewForm,
-    stride: int = 8,
-    tol: float = 1e-11,
 ) -> float:
     """Relative L2 mismatch between the FFT product and the oracle subgrid."""
     spec = fft_result.spec
-    _, vals = star_oracle_grid(f, g, sigma, spec, stride=stride, tol=tol)
-    sub = fft_result.values[::stride, ::stride].reshape(-1)
+    axis = spec.axis()[::ORACLE_STRIDE]
+    vals = np.array(
+        [star_oracle_point(f, g, sigma, spec.theta, (q1, q2)) for q1 in axis for q2 in axis]
+    )
+    sub = fft_result.values[::ORACLE_STRIDE, ::ORACLE_STRIDE].reshape(-1)
     return float(np.linalg.norm(sub - vals) / np.linalg.norm(vals))

@@ -63,7 +63,7 @@ class RunConfig:
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
 
-    _KNOWN = {"dim", "metric", "sigma0", "grid", "seed", "tolerances", "out"}
+    _KNOWN = {"dim", "metric", "sigma0", "grid", "seed", "tolerances"}
     _GRID_KNOWN = {"n", "length", "theta"}
 
     @classmethod
@@ -94,6 +94,9 @@ class RunConfig:
         if "seed" in data:
             kwargs["seed"] = int(data["seed"])
         if "tolerances" in data:
+            unknown = set(data["tolerances"]) - set(DEFAULT_TOLERANCES)
+            if unknown:
+                raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
             kwargs["tolerances"] = dict(data["tolerances"])
         return cls(**kwargs)
 
@@ -255,15 +258,14 @@ def suite_cstar(cfg: RunConfig) -> dict:
     g = SeparableGaussian(
         (GaussianFactor(-0.3, 1.4, 0.05), GaussianFactor(0.1, 1.5))
     ).sample(spec)
-    mf = build_left_regular_matrix(f, sigma, "f")
-    mg = build_left_regular_matrix(g, sigma, "g")
-    mfg = build_left_regular_matrix(star_product(f, g, sigma), sigma, "f x g")
-    hom = np.linalg.norm(mfg.matrix - mf.matrix @ mg.matrix, 2) / (
-        mf.spectral_norm() * mg.spectral_norm()
-    )
-    mfs = build_left_regular_matrix(involution(f), sigma, "f*")
-    adj = np.linalg.norm(mfs.matrix - mf.adjoint(), 2) / mf.spectral_norm()
     rep = cstar_identity_check(f, sigma)
+    norm_f = rep["norm_f"]
+    mf = build_left_regular_matrix(f, sigma)
+    mg = build_left_regular_matrix(g, sigma)
+    mfg = build_left_regular_matrix(star_product(f, g, sigma), sigma)
+    hom = np.linalg.norm(mfg.matrix - mf.matrix @ mg.matrix, 2) / (norm_f * mg.spectral_norm())
+    mfs = build_left_regular_matrix(involution(f), sigma)
+    adj = np.linalg.norm(mfs.matrix - mf.adjoint(), 2) / norm_f
     checks = [
         _check("homomorphism_defect", hom, cfg.tol("hom_defect")),
         _check("adjoint_defect", adj, cfg.tol("adjoint_defect")),
@@ -271,7 +273,7 @@ def suite_cstar(cfg: RunConfig) -> dict:
         _check(
             "positivity_min_eig",
             rep["min_eig"],
-            -cfg.tol("positivity") * rep["norm_f"] ** 2,
+            -cfg.tol("positivity") * norm_f**2,
             mode="ge",
         ),
     ]

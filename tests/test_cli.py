@@ -119,6 +119,24 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_misspelled_tolerance_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"weyl_phse": -1}})
+    rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "weyl_phse" in capsys.readouterr().err
+    # spelled right, the same impossible bound is a check failure
+    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"weyl_phase": -1}})
+    rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
+    assert rc == 1
+
+
+def test_out_config_key_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"dim": 2, "out": "elsewhere"})
+    rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "'out'" in capsys.readouterr().err
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -13,6 +13,7 @@ from moyalorbit.operators import (
 )
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 from moyalorbit.star import involution, star_product
+from moyalorbit.suites import RunConfig, suite_cstar
 
 PLANE = SkewForm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -108,3 +109,19 @@ def test_operator_matrix_shape_guard():
     spec = GridSpec(dim=2, n=16, length=8.0)
     with pytest.raises(ValueError):
         OperatorMatrix(np.eye(7), spec, PLANE, "bad")
+
+
+def test_suite_cstar_takes_five_spectral_norms(monkeypatch):
+    # ||L_f|| comes once from cstar_identity_check; the homomorphism and
+    # adjoint defects reuse it: ||L_f||, ||L_g||, ||L_{f* x f}|| and two defects
+    norm = np.linalg.norm
+    calls = []
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    suite_cstar(RunConfig())
+    assert len(calls) == 5

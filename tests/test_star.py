@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moyalorbit.geometry import SkewForm, Spacetime, q_form, sample_orbit, standard_skew
+from moyalorbit.geometry import (
+    SkewForm,
+    Spacetime,
+    act_on_form,
+    parity,
+    q_form,
+    sample_orbit,
+    standard_skew,
+    time_reversal,
+)
 from moyalorbit.grids import GridFunction, GridSpec, fft_forward, forward_array, inverse_array
 from moyalorbit.oracle import (
     GaussianFactor,
@@ -280,3 +289,50 @@ def test_reversed_form_swaps_factors(n, theta, s, seed):
     lhs = star_product(f, g, sigma.scaled(-1.0)).values
     rhs = star_product(g, f, sigma).values
     assert max_rel(lhs, rhs) <= 1e-12
+
+
+PLANE_ST = Spacetime(2, (1, -1))
+REFLECTIONS = {"parity": parity(PLANE_ST), "time_reversal": time_reversal(PLANE_ST)}
+
+
+def reflect(f, p):
+    """f o P for a diagonal reflection P: index j -> (N - j) mod N on each flipped axis."""
+    index = -np.arange(f.spec.n) % f.spec.n
+    values = f.values
+    for axis in np.flatnonzero(np.diag(p.matrix) < 0):
+        values = np.take(values, index, axis=axis)
+    return GridFunction(f.spec, values)
+
+
+def reflection_defect(f, g, sigma, p):
+    # P sigma P^t = -sigma for a one-axis reflection of the plane
+    lhs = star_product(reflect(f, p), reflect(g, p), act_on_form(p, sigma)).values
+    rhs = reflect(star_product(f, g, sigma), p).values
+    return max_rel(lhs, rhs)
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTIONS))
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([8, 16]),
+    s=st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+    k=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reflection_covariance_at_closed_twist(name, n, s, k, seed):
+    # (f o P) *_{-sigma} (g o P) = (f *_sigma g) o P is exact on the lattice
+    # when |theta s N / L^2| = k is an integer (the closed twist of suite_cstar)
+    length = 8.0
+    spec = GridSpec(dim=2, n=n, length=length, theta=k * length**2 / (n * abs(s)))
+    f = random_grid(spec, seed)
+    g = random_grid(spec, seed + 1)
+    assert reflection_defect(f, g, PLANE.scaled(s), REFLECTIONS[name]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTIONS))
+def test_reflection_covariance_fails_off_closed_twist(name):
+    # negative control: theta s N / L^2 = 1/2
+    spec = GridSpec(dim=2, n=16, length=8.0, theta=2.0)
+    f = random_grid(spec, 3)
+    g = random_grid(spec, 4)
+    assert reflection_defect(f, g, PLANE, REFLECTIONS[name]) > 1e-2
