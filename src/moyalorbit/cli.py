@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ def _dump_json(path: Path, data) -> None:
 def cmd_orbit(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     st = cfg.spacetime()
     pairs = sample_orbit(st, args.n, cfg.seed, cfg.base_form())
     records = []
@@ -102,14 +103,21 @@ def cmd_star(args) -> int:
     cfg = _load_config(args.config)
     try:
         f, sigma_f = gridio.read_grid(args.f_file)
-        g, _ = gridio.read_grid(args.g_file)
+        g, sigma_g = gridio.read_grid(args.g_file)
     except (gridio.FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if f.spec != g.spec:
         print("error: grid headers do not match", file=sys.stderr)
         return USAGE_ERROR
-    sigma = sigma_f if sigma_f is not None else cfg.base_form()
+    sigmas = [s for s in (sigma_f, sigma_g) if s is not None]
+    if len(sigmas) == 2 and not np.array_equal(sigma_f.matrix, sigma_g.matrix):
+        print(
+            f"error: {args.f_file} and {args.g_file} carry different skew forms",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
+    sigma = sigmas[0] if sigmas else cfg.base_form()
     if sigma.dim != f.spec.dim:
         print("error: skew form dimension does not match grids", file=sys.stderr)
         return USAGE_ERROR
@@ -142,7 +150,7 @@ def cmd_star(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     if args.suite not in SUITE_NAMES + ("all",):
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return USAGE_ERROR

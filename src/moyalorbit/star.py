@@ -12,17 +12,18 @@ which on the lattice reads
 
 with F the unweighted transform of f and ghat carrying dx^d.  Shifts are
 band-limited phase ramps, so results need no commensurability between
-sigma and the lattice.  Two evaluation paths, chosen by dimension:
+sigma and the lattice.
 
-- d = 2: every skew form is s J, so the phase e(-theta s (k1 p2 - k2 p1))
-  splits into a (p1, k2) and a (k1, p2) factor.  Each factor is a 1-D
-  transform along axis 2, their product is one N^3 array, and a fold over
-  k1 + p1 (exact mod N on the centered lattice, N even) leaves one 1-D
-  transform along axis 1: O(N^3 log N) work and N^2 exps.
-- other d (general sigma): per-dual-node accumulation, O(N^{2d} log N)
-  work, with every ramp and plane wave assembled from per-axis exp tables
-  (d tables of shape (chunk, N) per batch and the N x N table of
-  grids.plane_waves) instead of N^{2d} exps.
+One kernel serves every d >= 2.  With a the last axis and E the others,
+sigma_aa = 0 for every skew form, so the phase factors as
+
+    e(-theta (sigma_aE.p_E) k_a) e(theta (sigma_aE.k_E) p_a) e(-theta k_E.sigma_EE p_E):
+
+one ramp table R[u, v] = e(-theta (sigma_aE.u) v) over E-nodes u and axis-a
+dual nodes v (f takes R, ghat conj(R)), then the E-E twist, which is 1 at
+d = 2.  1-D transforms along axis a, a fold over k_E + p_E (exact mod N per
+axis on the centered lattice, N even) and one transform over the E axes
+give O(N^{2d-1} log N) work and O(d N^d) exps.
 """
 
 from __future__ import annotations
@@ -37,64 +38,53 @@ from moyalorbit.grids import (
     forward_array,
     inverse_array,
     modulation,
-    plane_waves,
+    separable_product,
     shift,
-    shift_batch,
     spectral_gradient,
 )
 
-# Dual nodes per accumulation batch; fixed so reduction order is bit-stable.
-_CHUNK = 128
+# Entries per batch of the kernel's (k_E, p_E, q_a) arrays; fixed so the
+# reduction order is bit-stable and the working set stays bounded.
+_BATCH_ENTRIES = 2**18
 
 
 def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunction:
     """Deformed product of two grid functions at deformation theta * sigma."""
     if f.spec != g.spec:
         raise ValueError("grid specs do not match")
-    spec = f.spec
+    spec, m = f.spec, sigma.matrix
     if sigma.dim != spec.dim:
         raise ValueError("skew form dimension mismatch")
-    ghat = fft_forward(g).values  # carries dx^d
-    fhat = forward_array(f.values, spec)  # unweighted
-    if spec.dim == 2:
-        out = _star_plane(fhat, ghat, spec, sigma.matrix[0, 1])
-    else:
-        out = _star_nodes(fhat, ghat, spec, sigma)
-    return GridFunction(spec, out)
-
-
-def _star_plane(fhat: np.ndarray, ghat: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
-    """d = 2 product for sigma = s J by the exact axis split."""
-    n = spec.n
+    if spec.dim < 2:
+        raise ValueError("star product needs dim >= 2; on a line sigma is zero")
+    n, d = spec.n, spec.dim
     line = GridSpec(dim=1, n=n, length=spec.length)
+    plane = GridSpec(dim=d - 1, n=n, length=spec.length)  # the E axes
     p = spec.dual_axis()
-    r = np.exp(2j * np.pi * spec.theta * s * np.outer(p, p))  # R[p1, k2]
-    a = inverse_array(fhat[:, None, :] * r[None, :, :], line)  # [k1, p1, q2]
-    b = inverse_array(ghat[None, :, :] * r.conj()[:, None, :], line)  # [k1, p1, q2]
-    # e(q1 (k1 + p1)) has period N/L in k1 + p1 on the grid, so k1 + p1 folds
-    # exactly onto the dual node with index (i_k1 + i_p1 - N/2) mod N.
-    i = np.arange(n)
-    p1_of = (i[None, :] - i[:, None] + n // 2) % n  # [i_k1, j] -> i_p1
-    folded = np.take_along_axis(a * b, p1_of[:, :, None], axis=1).sum(axis=0)  # [j, q2]
-    return inverse_array(folded.T, line).T * (n * spec.dp**2)
-
-
-def _star_nodes(
-    fhat: np.ndarray, ghat: np.ndarray, spec: GridSpec, sigma: SkewForm
-) -> np.ndarray:
-    """Any d: accumulate over dual nodes p, with separable ramps and waves."""
-    nodes = spec.dual_nodes()  # fixed row-major order
-    index = np.arange(nodes.shape[0])
-    weights = ghat.reshape(-1) * spec.dp**spec.dim
-    out = np.zeros((spec.n,) * spec.dim, dtype=complex)
-    for start in range(0, nodes.shape[0], _CHUNK):
-        batch = slice(start, start + _CHUNK)
-        # f(q - theta sigma p) = (shift by -theta sigma p)(q)
-        shifts = -spec.theta * (sigma.matrix @ nodes[batch].T).T
-        shifted = shift_batch(fhat, spec, shifts)
-        wave = plane_waves(spec, index[batch])
-        out += np.einsum("c,c...->...", weights[batch], shifted * wave)
-    return out
+    nodes = plane.dual_nodes()  # E-nodes, row-major
+    phase = 2j * np.pi * spec.theta
+    r = np.exp(phase * np.outer(-(nodes @ m[-1, :-1]), p))  # R[p_E, k_a]
+    fhat = forward_array(f.values, spec).reshape(-1, n)  # unweighted, [k_E, k_a]
+    ghat = fft_forward(g).values.reshape(-1, n)  # carries dx^d, [p_E, p_a]
+    # e(q_E.(k_E + p_E)) has period N/L in each k_e + p_e on the grid, so k_E + p_E
+    # folds exactly onto the E-node with per-axis index (i_k + i_p - N/2) mod N.
+    shape = (n,) * (d - 1)
+    index = np.indices(shape).reshape(d - 1, -1)
+    rows = max(1, _BATCH_ENTRIES // spec.size)
+    folded = np.zeros((nodes.shape[0], n), dtype=complex)  # [E-node of k_E + p_E, q_a]
+    for start in range(0, nodes.shape[0], rows):
+        kb = slice(start, start + rows)
+        c = nodes[kb] @ m[:-1, :-1]  # e(-theta k_E.sigma_EE p_E) = prod_e e(-theta c_e p_e)
+        twist = separable_product([np.exp(-phase * np.outer(ce, p)) for ce in c.T])
+        i_p = (index[:, None] - index[:, kb, None] + n // 2) % n  # [axis e, k_E, j]
+        p_of = np.ravel_multi_index(tuple(i_p), shape)  # [k_E, j] -> p_E
+        a = inverse_array(fhat[kb, None, :] * r[None, :, :], line)  # [k_E, p_E, q_a]
+        b = inverse_array(ghat[None, :, :] * r[kb].conj()[:, None, :], line)  # [k_E, p_E, q_a]
+        ab = a * b
+        ab *= twist.reshape(a.shape[:2] + (1,))  # in place: no second batch-sized temporary
+        folded += np.take_along_axis(ab, p_of[:, :, None], axis=1).sum(axis=0)
+    out = inverse_array(np.moveaxis(folded.reshape((n,) * d), -1, 0), plane)
+    return GridFunction(spec, np.moveaxis(out, 0, -1) * (n * spec.dp**d))
 
 
 def involution(f: GridFunction) -> GridFunction:

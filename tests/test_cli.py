@@ -62,6 +62,22 @@ def test_star_rejects_mismatched_grids(tmp_path):
     assert rc == 2
 
 
+def test_star_rejects_differing_sidecar_forms(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    cfg_minus = write_cfg(
+        tmp_path, dict(PLANE_CFG, sigma0=[[0.0, -1.0], [1.0, 0.0]]), name="minus.json"
+    )
+    f_path = str(tmp_path / "f.moya")
+    g_path = str(tmp_path / "g.moya")
+    main(["--config", cfg, "gauss", "--factor=0,1.2,0", "--factor=0,1.2,0", "--out", f_path])
+    main(["--config", cfg_minus, "gauss", "--factor=0,1.2,0", "--factor=0,1.2,0", "--out", g_path])
+    capsys.readouterr()
+    rc = main(["--config", cfg, "star", f_path, g_path, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f_path in err and g_path in err
+
+
 def test_star_missing_file_is_usage_error(tmp_path):
     rc = main(["star", str(tmp_path / "no.moya"), str(tmp_path / "no.moya")])
     assert rc == 2

@@ -273,6 +273,45 @@ def test_factored_ramps_match_reference_kernel_d4():
         assert max_rel(out, reference_star_product(f, g, sigma)) <= 1e-13
 
 
+def test_odd_dimension_matches_reference_kernel():
+    # d = 3, the one odd dimension checked: two E axes and a dense skew form
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(3, 3))
+    sigma = SkewForm(m - m.T)
+    spec = GridSpec(dim=3, n=8, length=8.0, theta=1.0)
+    f = random_grid(spec, 1)
+    g = random_grid(spec, 2)
+    out = star_product(f, g, sigma).values
+    assert max_rel(out, reference_star_product(f, g, sigma)) <= 1e-13
+
+
+@pytest.mark.parametrize("s1, s2", [(1.0, 1.0), (2.0, -0.5)])
+def test_block_diagonal_d4_factorizes(s1, s2):
+    # f = f12 (x) f34, g = g12 (x) g34, sigma = s1 J (+) s2 J:
+    # f * g = (f12 *_{s1 J} g12) (x) (f34 *_{s2 J} g34) exactly on the lattice
+    plane = GridSpec(dim=2, n=8, length=8.0, theta=1.0)
+    spec = GridSpec(dim=4, n=8, length=8.0, theta=1.0)
+    f12, f34, g12, g34 = (random_grid(plane, seed) for seed in range(4))
+    sigma = SkewForm(np.kron(np.diag([s1, s2]), PLANE.matrix))
+
+    def tensor(a, b):
+        return GridFunction(spec, np.multiply.outer(a.values, b.values))
+
+    out = star_product(tensor(f12, f34), tensor(g12, g34), sigma).values
+    ref = np.multiply.outer(
+        star_product(f12, g12, PLANE.scaled(s1)).values,
+        star_product(f34, g34, PLANE.scaled(s2)).values,
+    )
+    assert max_rel(out, ref) <= 1e-13
+
+
+def test_line_star_product_is_rejected():
+    spec = GridSpec(dim=1, n=8, length=8.0)
+    f = random_grid(spec, 0)
+    with pytest.raises(ValueError):
+        star_product(f, f, SkewForm.zero(1))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.sampled_from([8, 16]),
@@ -286,6 +325,24 @@ def test_reversed_form_swaps_factors(n, theta, s, seed):
     f = random_grid(spec, seed)
     g = random_grid(spec, seed + 1)
     sigma = PLANE.scaled(s)
+    lhs = star_product(f, g, sigma.scaled(-1.0)).values
+    rhs = star_product(g, f, sigma).values
+    assert max_rel(lhs, rhs) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.floats(0.1, 4.0),
+    orbit_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reversed_form_swaps_factors_d4(theta, orbit_seed, seed):
+    # the d = 2 property above, over dense orbit forms at d = 4
+    st4 = Spacetime()
+    sigma = sample_orbit(st4, 1, orbit_seed, standard_skew(st4))[0][1]
+    spec = GridSpec(dim=4, n=8, length=8.0, theta=theta)
+    f = random_grid(spec, seed)
+    g = random_grid(spec, seed + 1)
     lhs = star_product(f, g, sigma.scaled(-1.0)).values
     rhs = star_product(g, f, sigma).values
     assert max_rel(lhs, rhs) <= 1e-12
