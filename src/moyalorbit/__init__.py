@@ -7,7 +7,7 @@ Modules:
     gridio      -- the .moya grid file format and its JSON sidecar
     star        -- FFT star product, Weyl action, commutators, semiclassical sweep
     operators   -- left-regular operator matrices and the C*-identity check
-    oracle      -- independent adaptive-quadrature evaluation of the star product
+    oracle      -- closed-form star product of separable Gaussians, any d and sigma
     covariance  -- fibered functions over group samples and the group actions
     suites      -- named verification suites and their run configuration
     cli         -- command-line driver

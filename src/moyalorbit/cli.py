@@ -68,17 +68,17 @@ def cmd_orbit(args) -> int:
 
 def cmd_gauss(args) -> int:
     cfg = _load_config(args.config)
-    spec = GridSpec(dim=2, n=cfg.n, length=cfg.length, theta=cfg.theta)
+    spec = GridSpec(dim=cfg.dim, n=cfg.n, length=cfg.length, theta=cfg.theta)
     factors = []
     for spec_str in args.factor:
         c, w, b = (float(v) for v in spec_str.split(","))
         factors.append(GaussianFactor(c, w, b))
-    if len(factors) != 2:
-        print("gauss requires exactly two --factor c,w,b options", file=sys.stderr)
+    if len(factors) != cfg.dim:
+        print(f"gauss requires {cfg.dim} --factor c,w,b options", file=sys.stderr)
         return USAGE_ERROR
     g = SeparableGaussian(tuple(factors))
     path = Path(args.out)
-    gridio.write_grid(path, g.sample(spec), cfg.base_form() if cfg.dim == 2 else None)
+    gridio.write_grid(path, g.sample(spec), cfg.base_form())
     sidecar_path = path.with_suffix(path.suffix + ".json")
     sidecar = json.loads(sidecar_path.read_text())
     sidecar["gaussian"] = [[f.center, f.width, f.freq] for f in factors]
@@ -135,11 +135,8 @@ def cmd_star(args) -> int:
     if args.oracle:
         fg = _read_gaussian(Path(args.f_file))
         gg = _read_gaussian(Path(args.g_file))
-        if fg is None or gg is None or f.spec.dim != 2:
-            print(
-                "error: --oracle needs d=2 Gaussian inputs written by `gauss`",
-                file=sys.stderr,
-            )
+        if fg is None or gg is None:
+            print("error: --oracle needs Gaussian inputs written by `gauss`", file=sys.stderr)
             return USAGE_ERROR
         summary["oracle_defect"] = oracle_defect(result, fg, gg, sigma)
     _dump_json(out_dir / "star_summary.json", summary)

@@ -3,7 +3,7 @@
 Criteria (tolerances in parentheses):
  1. exact Weyl relations and associativity over the orbit (1e-12)
  2. star-product / translation-action bridge on a flat window (1e-3)
- 3. FFT product vs independent quadrature oracle (1e-6), sigma = 0 limit (1e-10)
+ 3. FFT product vs closed-form Gaussian oracle (1e-6), sigma = 0 limit (1e-10)
  4. first-order commutator constant on plateau windows (1e-3)
  5. pointwise-product theorem for cylinder functions (1e-6), negative control
  6. action equivariance and covariance identities (1e-9)

@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from moyalorbit.cli import main
+from moyalorbit.gridio import read_grid
+from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
+from moyalorbit.star import star_product
 from moyalorbit.suites import RunConfig, suite_semiclassical
 
 PLANE_CFG = {"dim": 2, "metric": [1, -1], "grid": {"n": 32}}
@@ -49,6 +53,39 @@ def test_gauss_star_oracle_pipeline(tmp_path):
     summary = json.loads((out / "star_summary.json").read_text())
     assert summary["oracle_defect"] < 1e-6
     assert (out / "star.moya").exists()
+
+
+def test_gauss_star_oracle_pipeline_d4(tmp_path):
+    # gauss follows cfg.dim and writes the base form; N = 8 is unresolved,
+    # so only the plumbing is checked, not the size of the defect
+    cfg_dict = {"dim": 4, "grid": {"n": 8}}
+    cfg = write_cfg(tmp_path, cfg_dict)
+    factors = {
+        "f": ["0.2,1.3,0.0", "-0.1,1.2,0.1", "0.0,1.4,0.0", "0.1,1.5,-0.05"],
+        "g": ["-0.3,1.4,0.05", "0.1,1.5,0.0", "0.2,1.2,0.1", "0.0,1.3,0.0"],
+    }
+    paths = {}
+    for name, specs in factors.items():
+        paths[name] = tmp_path / f"{name}.moya"
+        argv = ["--config", cfg, "gauss", *(f"--factor={s}" for s in specs)]
+        assert main([*argv, "--out", str(paths[name])]) == 0
+    three = ["--factor=0,1.2,0"] * 3
+    assert main(["--config", cfg, "gauss", *three, "--out", str(tmp_path / "h.moya")]) == 2
+    out = tmp_path / "run"
+    argv = ["--config", cfg, "star", str(paths["f"]), str(paths["g"]), "--oracle"]
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = json.loads((out / "star_summary.json").read_text())
+
+    run = RunConfig.from_dict(cfg_dict)
+    f, sigma = read_grid(paths["f"])
+    g, _ = read_grid(paths["g"])
+    assert f.spec.dim == 4 and np.array_equal(sigma.matrix, run.base_form().matrix)
+    gaussians = [
+        SeparableGaussian(tuple(GaussianFactor(*map(float, s.split(","))) for s in specs))
+        for specs in factors.values()
+    ]
+    expected = oracle_defect(star_product(f, g, sigma), *gaussians, sigma)
+    assert summary["oracle_defect"] == expected
 
 
 def test_star_rejects_mismatched_grids(tmp_path):

@@ -180,3 +180,28 @@ def test_only_grids_calls_fft():
     }
     assert {name: lines for name, lines in offenders.items() if lines} == {}
     assert _fft_calls((package / "grids.py").read_text())  # the guard sees real calls
+
+
+def _scipy_imports(source: str) -> list:
+    """Lines that import scipy or one of its submodules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_runtime_needs_no_scipy():
+    # numpy is the one runtime dependency; scipy is for the tests only
+    package = Path(moyalorbit.__file__).parent
+    offenders = {
+        path.name: _scipy_imports(path.read_text()) for path in sorted(package.glob("*.py"))
+    }
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+    assert _scipy_imports("import scipy.special\nfrom scipy import fft\n") == [1, 2]

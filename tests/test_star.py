@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from moyalorbit.geometry import (
     SkewForm,
@@ -72,6 +73,35 @@ def reference_star_product(f, g, sigma):
     return out
 
 
+def quadrature_star_point(f, g, s, theta, q):
+    """(f x g)(q) for d = 2 separable Gaussians and sigma = s J, by quadrature.
+
+    The single-integral formula factorizes into two 1-D integrals,
+
+        [int f2(q2 + th s p1) g1hat(p1) e(q1 p1) dp1]
+        * [int f1(q1 - th s p2) g2hat(p2) e(q2 p2) dp2],
+
+    each integrated adaptively on the real line (tolerance 1e-11).
+    """
+    q1, q2 = q
+    f1, f2 = f.factors
+    g1, g2 = g.factors
+
+    def complex_quad(fn):
+        kw = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
+        re = quad(lambda t: fn(t).real, -np.inf, np.inf, **kw)[0]
+        im = quad(lambda t: fn(t).imag, -np.inf, np.inf, **kw)[0]
+        return complex(re, im)
+
+    def int1(p1):
+        return f2(q2 + theta * s * p1) * g1.hat(p1) * np.exp(2j * np.pi * q1 * p1)
+
+    def int2(p2):
+        return f1(q1 - theta * s * p2) * g2.hat(p2) * np.exp(2j * np.pi * q2 * p2)
+
+    return complex_quad(int1) * complex_quad(int2)
+
+
 def random_grid(spec, seed):
     rng = np.random.default_rng(seed)
     shape = (spec.n,) * spec.dim
@@ -91,6 +121,23 @@ def test_frozen_oracle_point_quadrature():
     assert abs(val - ORACLE_POINT) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "s, theta, q",
+    [
+        (1.0, 0.5, (0.5, -0.25)),
+        (1.0, 2.0, (-1.0, -0.5)),
+        (-1.0, 1.0, (-0.7, 0.4)),
+        (-1.0, 0.5, (1.2, 0.1)),
+        (2.0, 2.0, (0.3, 0.9)),
+        (2.0, 1.0, (0.0, -1.1)),
+    ],
+)
+def test_closed_form_matches_quadrature(s, theta, q):
+    val = star_oracle_point(F_GAUSS, G_GAUSS, PLANE.scaled(s), theta, q)
+    ref = quadrature_star_point(F_GAUSS, G_GAUSS, s, theta, q)
+    assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
 def test_fft_product_matches_frozen_point():
     spec = spec64()
     result = star_product(F_GAUSS.sample(spec), G_GAUSS.sample(spec), PLANE)
@@ -108,6 +155,38 @@ def test_fft_product_matches_oracle_subgrid():
         g = random_gaussian(rng, 2)
         result = star_product(f.sample(spec), g.sample(spec), PLANE)
         assert oracle_defect(result, f, g, PLANE) < 1e-6
+
+
+def test_d3_product_matches_closed_form():
+    # the continuum check off d = 2: a dense random skew form at d = 3
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(3, 3))
+    sigma = SkewForm(m - m.T)
+    f = random_gaussian(rng, 3)
+    g = random_gaussian(rng, 3)
+    spec = GridSpec(dim=3, n=32, length=8.0, theta=1.0)
+    result = star_product(f.sample(spec), g.sample(spec), sigma)
+    assert oracle_defect(result, f, g, sigma) < 1e-6
+
+
+@pytest.mark.parametrize("s1, s2", [(1.0, 1.0), (2.0, -0.5)])
+def test_closed_form_factorizes_d4(s1, s2):
+    # sigma = s1 J (+) s2 J: the d = 4 closed form is the product of two d = 2 ones
+    rng = np.random.default_rng(21)
+    f = random_gaussian(rng, 4)
+    g = random_gaussian(rng, 4)
+    q = rng.uniform(-2.0, 2.0, size=(64, 4))
+    sigma = SkewForm(np.kron(np.diag([s1, s2]), PLANE.matrix))
+    out = star_oracle_point(f, g, sigma, 0.7, q)
+
+    def plane(h, axes):
+        return SeparableGaussian(h.factors[axes])
+
+    ref = 1.0
+    for axes, s in ((slice(0, 2), s1), (slice(2, 4), s2)):
+        sigma_2 = PLANE.scaled(s)
+        ref = ref * star_oracle_point(plane(f, axes), plane(g, axes), sigma_2, 0.7, q[:, axes])
+    assert max_rel(out, ref) <= 1e-13
 
 
 def test_zero_form_reduces_to_pointwise_product():
