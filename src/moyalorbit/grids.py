@@ -160,6 +160,12 @@ def inverse_array(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return _centered(np.fft.ifftn, values, axes)
 
 
+def unitary_dft(values: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    """Unitary, uncentered 1-D DFT along one axis (its inverse if inverse)."""
+    transform = np.fft.ifft if inverse else np.fft.fft
+    return transform(values, axis=axis, norm="ortho")
+
+
 def separable_product(factors) -> np.ndarray:
     """out[i, x_1, ..., x_d] = prod_a factors[a][i, x_a] for d (m, N) tables."""
     out = factors[0]

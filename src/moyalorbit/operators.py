@@ -12,6 +12,15 @@ matrix is assembled in closed form,
 
 via one batch of band-limited shifts times the plane waves of
 grids.plane_waves and one FFT over the dual index.
+
+On the plane, sigma = s J, the Weyl unitary u_alpha modulates by alpha and
+translates by theta sigma alpha, which is c (alpha_2, -alpha_1) grid steps for
+alpha on the dual lattice and the twist c = theta s N / L^2.  At closed twist
+(c an integer) a unitary DFT along the first axis turns the modulation into a
+shift of the frequency index a_1 and leaves the class r = (x_2 - c a_1) mod N
+of every row and column fixed.  So (F x I) L_f (F x I)^H is block diagonal:
+N blocks B_r of side N, indexed by a_1, whose singular values, products,
+adjoints and spectra are those of L_f (heisenberg_blocks).
 """
 
 from __future__ import annotations
@@ -21,7 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from moyalorbit.geometry import SkewForm
-from moyalorbit.grids import GridFunction, GridSpec, forward_array, plane_waves, shift_batch
+from moyalorbit.grids import (
+    GridFunction,
+    GridSpec,
+    forward_array,
+    plane_waves,
+    shift_batch,
+    unitary_dft,
+)
 from moyalorbit.star import involution, star_product
 
 MAX_SIDE = 4096
@@ -65,6 +81,39 @@ def build_left_regular_matrix(f: GridFunction, sigma: SkewForm) -> OperatorMatri
     b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)
     mtx = forward_array(b, spec).reshape(m, m) / spec.size
     return OperatorMatrix(mtx, spec, sigma)
+
+
+def twist(spec: GridSpec, sigma: SkewForm) -> float:
+    """c = theta s N / L^2 for sigma = s J on the plane: grid steps per dual step."""
+    if spec.dim != 2 or sigma.dim != 2:
+        raise ValueError("the twist is defined on the plane (d = 2) only")
+    return spec.theta * float(sigma.matrix[0, 1]) * spec.n / spec.length**2
+
+
+def heisenberg_blocks(op: OperatorMatrix) -> tuple:
+    """The N blocks of L_f at closed twist, and the off-block share.
+
+    Returns (blocks, defect): blocks[r, a_1, b_1] is the entry of
+    (F x I) L_f (F x I)^H at rows (a_1, r + c a_1) and columns
+    (b_1, r + c b_1), second index mod N, with F the unitary DFT on the first
+    axis; defect is the Frobenius share of that matrix outside the blocks.
+    Raises ValueError when the twist c is not an integer.
+    """
+    c = twist(op.spec, op.sigma)
+    if abs(c - round(c)) > 1e-9:
+        raise ValueError(f"open twist c = {c}: L_f has no block structure")
+    n = op.spec.n
+    b = unitary_dft(op.matrix.reshape(n, n, n, n), axis=0)
+    b = unitary_dft(b, axis=2, inverse=True)
+    a = np.arange(n)
+    x2 = (a[:, None] + round(c) * a[None, :]) % n  # [r, a_1]
+    index = (a[None, :, None], x2[:, :, None], a[None, None, :], x2[:, None, :])
+    blocks = b[index]
+    # pairwise sums, not a BLAS dot, so the share does not depend on threads
+    total = np.sum(np.abs(b) ** 2)
+    b[index] = 0.0
+    defect = float(np.sqrt(np.sum(np.abs(b) ** 2) / total)) if total else 0.0
+    return blocks, defect
 
 
 def apply_operator(op: OperatorMatrix, eta: GridFunction) -> GridFunction:

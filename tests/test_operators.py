@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moyalorbit import suites
 from moyalorbit.geometry import SkewForm
 from moyalorbit.grids import GridFunction, GridSpec
 from moyalorbit.operators import (
@@ -10,6 +13,7 @@ from moyalorbit.operators import (
     apply_operator,
     build_left_regular_matrix,
     cstar_identity_check,
+    heisenberg_blocks,
 )
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 from moyalorbit.star import involution, star_product
@@ -112,16 +116,112 @@ def test_operator_matrix_shape_guard():
 
 
 def test_suite_cstar_takes_five_spectral_norms(monkeypatch):
-    # ||L_f|| comes once from cstar_identity_check; the homomorphism and
-    # adjoint defects reuse it: ||L_f||, ||L_g||, ||L_{f* x f}|| and two defects
-    norm = np.linalg.norm
-    calls = []
+    # five dense builds (L_f, L_g, L_{f x g}, L_{f*}, L_{f* x f}); the five
+    # norms ||L_f||, ||L_g||, ||L_{f* x f}|| and the two defects, and the
+    # positivity spectrum, come from the 32 Heisenberg blocks of side 32:
+    # no SVD, 2-norm or eigvalsh of a 1024 x 1024 matrix
+    side = 32
+    calls = {"norm": [], "svd": [], "eigvalsh": [], "build": 0}
 
-    def counting_norm(x, ord=None, *args, **kwargs):
-        if ord == 2:
-            calls.append(np.shape(x))
-        return norm(x, ord, *args, **kwargs)
+    def counting(name, fn):
+        def wrapper(x, *args, **kwargs):
+            calls[name].append(np.shape(x))
+            return fn(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    suite_cstar(RunConfig())
-    assert len(calls) == 5
+        return wrapper
+
+    for name in ("norm", "svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    build = suites.build_left_regular_matrix
+
+    def counting_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "build_left_regular_matrix", counting_build)
+    rep = suite_cstar(RunConfig())
+    assert rep["pass"]
+    assert calls["build"] == 5
+    assert calls["norm"] == []
+    assert calls["svd"] == [(side, side, side)] * 5
+    assert calls["eigvalsh"] == [(side, side, side)]
+
+
+def block_norm(blocks):
+    return np.linalg.svd(blocks, compute_uv=False).max()
+
+
+def twisted(n, c, length=8.0):
+    """Spec and plane form with twist theta s n / L^2 = c (an integer)."""
+    s = -1.0 if c < 0 else 1.0
+    spec = GridSpec(dim=2, n=n, length=length, theta=abs(c) * length**2 / n)
+    return spec, PLANE.scaled(s)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("c", [1, -1, 2, 3])
+def test_heisenberg_blocks_carry_the_spectrum(n, c):
+    # the N blocks of side N are a unitary image of L_f: their N^2 singular
+    # values are those of the dense matrix, and nothing lies off the blocks
+    spec, sigma = twisted(n, c)
+    f, _ = gaussians(spec)
+    op = build_left_regular_matrix(f, sigma)
+    blocks, defect = heisenberg_blocks(op)
+    assert blocks.shape == (n, n, n)
+    assert defect <= 1e-13
+    block_sv = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
+    dense_sv = np.linalg.svd(op.matrix, compute_uv=False)
+    assert np.max(np.abs(block_sv - dense_sv)) <= 1e-13 * dense_sv[0]
+
+
+def test_heisenberg_blocks_reject_open_twist():
+    # the spec of test_open_twist_breaks_representation: theta n / L^2 = 1/4
+    spec = GridSpec(dim=2, n=16, length=8.0, theta=1.0)
+    f, _ = gaussians(spec)
+    with pytest.raises(ValueError):
+        heisenberg_blocks(build_left_regular_matrix(f, PLANE))
+
+
+gaussian_factor = st.builds(
+    GaussianFactor,
+    st.floats(-0.5, 0.5),
+    st.floats(1.0, 1.6),
+    st.floats(-0.2, 0.2),
+)
+gaussian_pair = st.tuples(*[st.tuples(gaussian_factor, gaussian_factor)] * 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.1, 4.0), s=st.floats(-2.0, 2.0), factors=gaussian_pair)
+def test_apply_matches_star_product_property(theta, s, factors):
+    spec = GridSpec(dim=2, n=16, length=8.0, theta=theta)
+    f, g = (SeparableGaussian(pair).sample(spec) for pair in factors)
+    sigma = PLANE.scaled(s)
+    direct = star_product(f, g, sigma)
+    out = apply_operator(build_left_regular_matrix(f, sigma), g)
+    assert (out - direct).max_abs() <= 1e-11 * max(direct.max_abs(), 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=st.sampled_from([-3, -2, -1, 1, 2, 3]), factors=gaussian_pair)
+def test_blockwise_homomorphism_at_integer_twist(c, factors):
+    spec, sigma = twisted(16, c)
+    f, g = (SeparableGaussian(pair).sample(spec) for pair in factors)
+    bf, bg, bfg = (
+        heisenberg_blocks(build_left_regular_matrix(h, sigma))[0]
+        for h in (f, g, star_product(f, g, sigma))
+    )
+    assert block_norm(bfg - bf @ bg) <= 1e-11 * block_norm(bf) * block_norm(bg)
+
+
+@pytest.mark.parametrize("length", [6.0, 10.0, 16.0])
+def test_suite_cstar_closes_the_twist_at_any_length(length):
+    # theta = L^2 / 32 keeps the twist at 1 whatever the box length
+    rep = suite_cstar(RunConfig(length=length))
+    assert rep["grid"] == {
+        "n": 32,
+        "length": length,
+        "theta": length**2 / 32,
+        "twist": 1.0,
+    }
+    assert rep["pass"], rep["checks"]
