@@ -160,7 +160,7 @@ def inverse_array(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return _centered(np.fft.ifftn, values, axes)
 
 
-def unitary_dft(values: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+def unitary_dft(values: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
     """Unitary, uncentered 1-D DFT along one axis (its inverse if inverse)."""
     transform = np.fft.ifft if inverse else np.fft.fft
     return transform(values, axis=axis, norm="ortho")

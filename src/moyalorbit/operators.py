@@ -103,7 +103,7 @@ def heisenberg_blocks(op: OperatorMatrix) -> tuple:
     if abs(c - round(c)) > 1e-9:
         raise ValueError(f"open twist c = {c}: L_f has no block structure")
     n = op.spec.n
-    b = unitary_dft(op.matrix.reshape(n, n, n, n), axis=0)
+    b = unitary_dft(op.matrix.reshape(n, n, n, n), axis=0, inverse=False)
     b = unitary_dft(b, axis=2, inverse=True)
     a = np.arange(n)
     x2 = (a[:, None] + round(c) * a[None, :]) % n  # [r, a_1]

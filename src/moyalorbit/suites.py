@@ -36,12 +36,13 @@ from moyalorbit.star import (
 
 SUITE_NAMES = ("weyl", "equivariance", "cstar", "semiclassical")
 
+BLOCK_STRUCTURE_TOL = 1e-12  # largest off-block share of a blocked L_h
+
 DEFAULT_TOLERANCES = {
     "weyl_phase": 1e-12,
     "weyl_assoc": 1e-12,
     "phi_equivariance": 1e-9,
     "gamma_covariance": 1e-9,
-    "block_structure": 1e-12,
     "hom_defect": 1e-3,
     "adjoint_defect": 1e-6,
     "cstar_defect": 0.05,
@@ -288,7 +289,7 @@ def suite_cstar(cfg: RunConfig) -> dict:
     cstar = abs(norm_fsf - norm_f**2) / norm_f**2
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (bfsf + _adjoint(bfsf)))))
     checks = [
-        _check("block_structure_defect", max(off_block), cfg.tol("block_structure")),
+        _check("block_structure_defect", max(off_block), BLOCK_STRUCTURE_TOL),
         _check("homomorphism_defect", hom, cfg.tol("hom_defect")),
         _check("adjoint_defect", adj, cfg.tol("adjoint_defect")),
         _check("cstar_identity_defect", cstar, cfg.tol("cstar_defect")),

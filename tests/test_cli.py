@@ -193,3 +193,10 @@ def test_out_config_key_is_usage_error(tmp_path, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_block_structure_bound_is_not_a_tolerance_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"block_structure": 1.0}})
+    rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "block_structure" in capsys.readouterr().err
