@@ -36,8 +36,10 @@ CHECK_FAILURE = 1
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    data = json.loads(Path(path).read_text())
-    return RunConfig.from_dict(data)
+    try:
+        return RunConfig.from_dict(json.loads(Path(path).read_text()))
+    except OSError as exc:  # a missing or unreadable file is a usage error
+        raise ValueError(f"cannot read config {path}: {exc.strerror or exc}") from exc
 
 
 def _dump_json(path: Path, data) -> None:

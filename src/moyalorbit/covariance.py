@@ -23,8 +23,8 @@ from moyalorbit.grids import (
     GridFunction,
     GridSpec,
     forward_array,
-    separable_product,
-    shift,
+    separable_waves,
+    shift_batch,
 )
 from moyalorbit.star import relative_l2, star_product
 
@@ -110,13 +110,11 @@ class RealLineFunction:
 
 
 def tau_act(x, f: FiberedFunction) -> FiberedFunction:
-    """(tau_x F)(T, q) = F(T, q + T x), fiberwise phase-ramp shift."""
-    x = np.asarray(x, dtype=float)
-    fibers = tuple(
-        shift(fib, t.matrix @ x)
-        for t, fib in zip(f.sample.transforms, f.fibers)
-    )
-    return FiberedFunction(f.sample, fibers)
+    """(tau_x F)(T, q) = F(T, q + T x): every fiber in one phase-ramp batch."""
+    shifts = np.stack([t.matrix @ x for t in f.sample.transforms])
+    fhat = forward_array(np.stack([fib.values for fib in f.fibers]), f.spec)
+    values = shift_batch(fhat, f.spec, shifts)
+    return FiberedFunction(f.sample, tuple(GridFunction(f.spec, v) for v in values))
 
 
 def gamma_act(s: LorentzTransform, f: FiberedFunction) -> FiberedFunction:
@@ -130,26 +128,21 @@ def gamma_act(s: LorentzTransform, f: FiberedFunction) -> FiberedFunction:
 
 
 def rho_act(alpha, x, psi: RealLineFunction) -> RealLineFunction:
-    """(rho_x psi)(T, r) = psi(T, r + alpha(T x)), fiberwise 1-D shift."""
+    """(rho_x psi)(T, r) = psi(T, r + alpha(T x)): every fiber in one 1-D batch."""
     alpha = np.asarray(alpha, dtype=float)
-    x = np.asarray(x, dtype=float)
-    rows = [
-        shift(GridFunction(psi.spec1d, row), alpha @ (t.matrix @ x)).values
-        for t, row in zip(psi.sample.transforms, psi.values)
-    ]
-    return RealLineFunction(psi.sample, psi.spec1d, np.stack(rows))
+    shifts = np.array([[alpha @ (t.matrix @ x)] for t in psi.sample.transforms])
+    values = shift_batch(forward_array(psi.values, psi.spec1d), psi.spec1d, shifts)
+    return RealLineFunction(psi.sample, psi.spec1d, values)
 
 
 def phi_alpha(alpha, psi: RealLineFunction, grid: GridSpec) -> FiberedFunction:
     """(Phi^alpha psi)(T, q) = psi(T, alpha(q)), by spectral interpolation."""
-    alpha = np.asarray(alpha, dtype=float)
     spec1d = psi.spec1d
     if grid.length != spec1d.length:
         raise ValueError("grid and line function box lengths must agree")
     coeffs = forward_array(psi.values, spec1d) * spec1d.dx  # (n_fibers, N)
-    pq = np.outer(spec1d.dual_axis(), grid.axis())
-    # e(alpha(q) p) = prod_a e(alpha_a p q_a): one table [p, q] for every fiber
-    waves = separable_product([np.exp(2j * np.pi * a * pq) for a in alpha])
+    # e(alpha(q) p) = prod_a e(p alpha_a q_a): one table [p, q] for every fiber
+    waves = separable_waves(np.outer(spec1d.dual_axis(), alpha), grid.axis())
     values = np.tensordot(coeffs, waves, axes=(1, 0)) * spec1d.dp
     return FiberedFunction(psi.sample, tuple(GridFunction(grid, v) for v in values))
 

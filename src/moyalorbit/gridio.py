@@ -63,6 +63,9 @@ def read_grid(path) -> tuple:
     if sidecar_path.exists():
         sidecar = json.loads(sidecar_path.read_text())
         theta = float(sidecar.get("theta", 1.0))
+        for key, value in (("dim", dim), ("n", n)):
+            if sidecar.get(key, value) != value:
+                raise FormatError(f"sidecar {key} {sidecar[key]} disagrees with header {value}")
         if "sigma" in sidecar:
             sigma = SkewForm(np.asarray(sidecar["sigma"]))
         if "length" in sidecar:

@@ -166,27 +166,25 @@ def unitary_dft(values: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
     return transform(values, axis=axis, norm="ortho")
 
 
-def separable_product(factors) -> np.ndarray:
-    """out[i, x_1, ..., x_d] = prod_a factors[a][i, x_a] for d (m, N) tables."""
-    out = factors[0]
-    for table in factors[1:]:
-        m, n = table.shape
-        out = out[..., None] * table.reshape((m,) + (1,) * (out.ndim - 1) + (n,))
+def separable_waves(coeffs, axis) -> np.ndarray:
+    """out[i, x_1, ..., x_d] = prod_a e(coeffs[i, a] axis[x_a]): the one e(.)-table builder."""
+    tables = [np.exp(2j * np.pi * np.outer(c, axis)) for c in np.asarray(coeffs, float).T]
+    out = tables[0]
+    for table in tables[1:]:
+        out = out[..., None] * np.expand_dims(table, tuple(range(1, out.ndim)))
     return out
 
 
 def shift_batch(values_hat: np.ndarray, spec: GridSpec, shifts: np.ndarray) -> np.ndarray:
     """Shifted copies f(x + s_i) for a batch of shifts.
 
-    values_hat: centered unweighted transform of f, shape (N,)*dim.
-    shifts: (m, dim).  Returns (m,) + (N,)*dim.  The ramp e(s.k) is built
-    as prod_a e(s_a k_a) from d exp tables of shape (m, N).
+    values_hat: centered unweighted transform of one f, shape (N,)*dim, or of
+    one f per shift, shape (m,) + (N,)*dim.  shifts: (m, dim).  Returns
+    (m,) + (N,)*dim; the ramp e(s.k) comes from separable_waves.
     """
-    k = spec.dual_axis()
-    ramp = separable_product(
-        [np.exp(2j * np.pi * np.outer(shifts[:, a], k)) for a in range(spec.dim)]
-    )
-    return inverse_array(values_hat[None, ...] * ramp, spec)
+    # named, so numpy cannot reuse it in place as ramp * values_hat, which rounds differently
+    ramp = separable_waves(shifts, spec.dual_axis())
+    return inverse_array(values_hat * ramp, spec)
 
 
 def shift(f: GridFunction, s) -> GridFunction:
@@ -200,18 +198,14 @@ def plane_waves(spec: GridSpec, index: np.ndarray) -> np.ndarray:
     """e(x.p) on the grid for a batch of dual nodes p.
 
     index: integer positions of the nodes in the row-major spec.dual_nodes().
-    Returns (m,) + (N,)*dim, built as prod_a e(p_a x_a) from one N x N table.
+    Returns (m,) + (N,)*dim.
     """
-    table = np.exp(2j * np.pi * np.outer(spec.dual_axis(), spec.axis()))  # e(p_m x_i)
-    axis_index = np.unravel_index(index, (spec.n,) * spec.dim)
-    return separable_product([table[i] for i in axis_index])
+    return separable_waves(spec.dual_nodes()[index], spec.axis())
 
 
 def modulation(spec: GridSpec, alpha) -> np.ndarray:
-    """Plane-wave values e(2 pi i x.alpha) on the grid."""
-    alpha = np.asarray(alpha, dtype=float)
-    x = spec.mesh()
-    return np.exp(2j * np.pi * np.tensordot(alpha, x, axes=(0, 0)))
+    """Plane-wave values e(x.alpha) on the grid."""
+    return separable_waves([alpha], spec.axis())[0]
 
 
 def spectral_gradient(f: GridFunction) -> list:

@@ -38,7 +38,7 @@ from moyalorbit.grids import (
     forward_array,
     inverse_array,
     modulation,
-    separable_product,
+    separable_waves,
     shift,
     spectral_gradient,
 )
@@ -62,8 +62,7 @@ def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunct
     plane = GridSpec(dim=d - 1, n=n, length=spec.length)  # the E axes
     p = spec.dual_axis()
     nodes = plane.dual_nodes()  # E-nodes, row-major
-    phase = 2j * np.pi * spec.theta
-    r = np.exp(phase * np.outer(-(nodes @ m[-1, :-1]), p))  # R[p_E, k_a]
+    r = separable_waves(-spec.theta * (nodes @ m[-1, :-1])[:, None], p)  # R[p_E, k_a]
     fhat = forward_array(f.values, spec).reshape(-1, n)  # unweighted, [k_E, k_a]
     ghat = fft_forward(g).values.reshape(-1, n)  # carries dx^d, [p_E, p_a]
     # e(q_E.(k_E + p_E)) has period N/L in each k_e + p_e on the grid, so k_E + p_E
@@ -74,8 +73,8 @@ def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunct
     folded = np.zeros((nodes.shape[0], n), dtype=complex)  # [E-node of k_E + p_E, q_a]
     for start in range(0, nodes.shape[0], rows):
         kb = slice(start, start + rows)
-        c = nodes[kb] @ m[:-1, :-1]  # e(-theta k_E.sigma_EE p_E) = prod_e e(-theta c_e p_e)
-        twist = separable_product([np.exp(-phase * np.outer(ce, p)) for ce in c.T])
+        # e(-theta k_E.sigma_EE p_E) = prod_e e(-theta c_e p_e), c = k_E.sigma_EE
+        twist = separable_waves(-spec.theta * (nodes[kb] @ m[:-1, :-1]), p)
         i_p = (index[:, None] - index[:, kb, None] + n // 2) % n  # [axis e, k_E, j]
         p_of = np.ravel_multi_index(tuple(i_p), shape)  # [k_E, j] -> p_E
         a = inverse_array(fhat[kb, None, :] * r[None, :, :], line)  # [k_E, p_E, q_a]

@@ -70,36 +70,37 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - cls._KNOWN
+        unknown = set(_as(dict, data, "(top level)")) - cls._KNOWN
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        grid = data.get("grid", {})
+        grid = _as(dict, data.get("grid", {}), "grid")
         unknown = set(grid) - cls._GRID_KNOWN
         if unknown:
             raise ValueError(f"unknown grid keys: {sorted(unknown)}")
         kwargs = {}
         if "dim" in data:
-            kwargs["dim"] = int(data["dim"])
+            kwargs["dim"] = _as(int, data["dim"], "dim")
         if "metric" in data:
-            kwargs["metric"] = tuple(int(m) for m in data["metric"])
+            kwargs["metric"] = _as([int], data["metric"], "metric")
         elif "dim" in data:
-            d = int(data["dim"])
-            kwargs["metric"] = tuple([1] + [-1] * (d - 1))
+            kwargs["metric"] = tuple([1] + [-1] * (kwargs["dim"] - 1))
         if data.get("sigma0") is not None:
-            kwargs["sigma0"] = tuple(tuple(float(v) for v in row) for row in data["sigma0"])
-        if "n" in grid:
-            kwargs["n"] = int(grid["n"])
-        if "length" in grid:
-            kwargs["length"] = float(grid["length"])
-        if "theta" in grid:
-            kwargs["theta"] = float(grid["theta"])
+            kwargs["sigma0"] = _as([[float]], data["sigma0"], "sigma0")
+        for key, kind in (("n", int), ("length", float), ("theta", float)):
+            if key in grid:
+                kwargs[key] = _as(kind, grid[key], f"grid.{key}")
         if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
+            kwargs["seed"] = _as(int, data["seed"], "seed")
         if "tolerances" in data:
-            unknown = set(data["tolerances"]) - set(DEFAULT_TOLERANCES)
+            tolerances = _as(dict, data["tolerances"], "tolerances")
+            unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
             if unknown:
                 raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-            kwargs["tolerances"] = dict(data["tolerances"])
+            for key, value in tolerances.items():  # a number, or a [low, high] pair
+                shape = np.shape(DEFAULT_TOLERANCES[key])
+                if np.shape(_as([float] if shape else float, value, key)) != shape:
+                    raise ValueError(f"config value {key} must be a [low, high] pair")
+            kwargs["tolerances"] = tolerances
         return cls(**kwargs)
 
     def spacetime(self) -> Spacetime:
@@ -114,6 +115,15 @@ class RunConfig:
 
     def tol(self, key: str):
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
+
+
+def _as(kind, value, key: str):
+    """A config value as kind (int, float, dict, or [kind] for a list); else ValueError."""
+    if isinstance(kind, list):
+        return tuple(_as(kind[0], v, key) for v in _as(list, value, key))
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"config value {key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _check(name: str, value: float, tol, mode: str = "le") -> dict:

@@ -200,3 +200,28 @@ def test_block_structure_bound_is_not_a_tolerance_key(tmp_path, capsys):
     rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
     assert rc == 2
     assert "block_structure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"grid": 5},
+        {"seed": None},
+        {"dim": [2]},
+        {"tolerances": 3},
+        {"grid": {"n": 16.5}},
+        {"metric": 1},
+        {"sigma0": [[0, "a"], [-1, 0]]},
+        {"tolerances": {"slope_d1": [0.9]}},
+        {"tolerances": {"weyl_phase": "tiny"}},
+        [2],
+        None,  # no file at the --config path
+    ],
+)
+def test_malformed_config_is_usage_error(tmp_path, capsys, cfg):
+    path = str(tmp_path / "missing.json") if cfg is None else write_cfg(tmp_path, cfg)
+    rc = main(["--config", path, "orbit", "-n", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

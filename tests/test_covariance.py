@@ -15,7 +15,7 @@ from moyalorbit.geometry import (
     standard_skew,
     time_reversal,
 )
-from moyalorbit.grids import GridFunction, GridSpec
+from moyalorbit.grids import GridFunction, GridSpec, shift
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 
 ST2 = Spacetime(2, (1, -1))
@@ -48,6 +48,21 @@ def test_group_sample_bounded_flag_guard():
     with pytest.raises(ValueError):
         cov.GroupSample((t,), bounded_flag=True, bound=1.0)
     cov.GroupSample((t,), bounded_flag=True, bound=10.0)  # ok
+
+
+def test_tau_and_rho_match_per_fiber_shift_bit_for_bit():
+    rng = np.random.default_rng(7)
+    sample = small_sample(seed=7, size=4)
+    vals = rng.normal(size=(4, 64, 64)) + 1j * rng.normal(size=(4, 64, 64))
+    f = cov.FiberedFunction(sample, tuple(GridFunction(SPEC, v) for v in vals))
+    x, alpha = np.array([0.3, -0.45]), np.array([0.8, 0.35])
+    for t, fib, ref in zip(sample.transforms, cov.tau_act(x, f).fibers, f.fibers):
+        assert np.array_equal(fib.values, shift(ref, t.matrix @ x).values)
+    psi = cov.RealLineFunction(sample, SPEC1D, rng.normal(size=(4, 64)))
+    rows = cov.rho_act(alpha, x, psi).values
+    for t, row, ref in zip(sample.transforms, rows, psi.values):
+        single = shift(GridFunction(SPEC1D, ref), alpha @ (t.matrix @ x))
+        assert np.array_equal(row, single.values)
 
 
 def test_tau_act_shifts_each_fiber():

@@ -1,5 +1,7 @@
 """Binary grid format and fibered-bundle round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ def test_sidecar_length_must_match_header(tmp_path):
     sidecar = path.with_suffix(".moya.json")
     sidecar.write_text(sidecar.read_text().replace('"length": 8.0', '"length": 8.5'))
     with pytest.raises(gridio.FormatError):
+        gridio.read_grid(path)
+
+
+@pytest.mark.parametrize("edit", [{"n": 32}, {"dim": 3}, {"n": 32, "dim": 3}])
+def test_sidecar_shape_must_match_header(tmp_path, edit):
+    f = random_grid()  # n = 16, dim = 2
+    path = tmp_path / "f.moya"
+    gridio.write_grid(path, f)
+    sidecar = path.with_suffix(".moya.json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+    with pytest.raises(gridio.FormatError, match="disagrees with header"):
         gridio.read_grid(path)
 
 

@@ -14,6 +14,7 @@ from moyalorbit.grids import (
     fft_inverse,
     modulation,
     plane_waves,
+    separable_waves,
     shift,
     shift_batch,
     forward_array,
@@ -86,6 +87,35 @@ def test_shift_batch_consistency():
     for row, s in zip(batch, shifts):
         single = shift(f, s)
         assert np.max(np.abs(row - single.values)) < 1e-11
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_separable_waves_match_the_full_exponential(d):
+    spec = GridSpec(dim=d, n=8, length=6.0)
+    rng = np.random.default_rng(d)
+    coeffs = rng.normal(scale=2.0, size=(5, d))
+    x = spec.mesh()
+    phase = 2 * np.pi * np.tensordot(coeffs, x, axes=(1, 0))  # (5,) + (N,)*d
+    expected = np.exp(1j * phase)
+    waves = separable_waves(coeffs, spec.axis())
+    assert waves.shape == expected.shape
+    # each of the d + 1 exps is off by about eps * |its phase|, the d - 1
+    # products by about eps each; the sum of the per-axis |phases| bounds both
+    largest = 2 * np.pi * np.max(np.tensordot(np.abs(coeffs), np.abs(x), axes=(1, 0)))
+    bound = 4 * np.finfo(float).eps * (d + 2 * largest)
+    assert np.max(np.abs(waves - expected)) <= bound
+
+
+def test_shift_batch_of_stacked_functions_matches_shift_bit_for_bit():
+    # 6 x 64^2 complex entries pass numpy's 256 KiB bar for reusing a
+    # temporary in place, which would swap the operands of the complex product
+    spec = GridSpec(dim=2, n=64, length=8.0)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(6, 64, 64)) + 1j * rng.normal(size=(6, 64, 64))
+    shifts = rng.normal(scale=0.7, size=(6, 2))
+    batch = shift_batch(forward_array(values, spec), spec, shifts)
+    for row, v, s in zip(batch, values, shifts):
+        assert np.array_equal(row, shift(GridFunction(spec, v), s).values)
 
 
 def test_modulation_is_plane_wave():

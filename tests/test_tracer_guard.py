@@ -1,0 +1,46 @@
+"""The benchmark's span tracer still installs on the library it traces.
+
+perfbench/tracer.py wraps library functions by name and reads some of their
+arguments.  A traced name that disappears, or a signature that changes, would
+crash traced benchmark runs; this guard fails first.  It only reads perfbench/.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from moyalorbit import grids, star
+from moyalorbit.geometry import SkewForm
+from moyalorbit.grids import GridSpec
+from moyalorbit.oracle import GaussianFactor, SeparableGaussian
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_traces_a_star_product():
+    tracer_module = load_tracer()
+    before = star.star_product, grids.shift_batch, grids.forward_array
+    spec = GridSpec(dim=2, n=16, length=8.0)
+    f = SeparableGaussian((GaussianFactor(0.1, 1.2), GaussianFactor(-0.1, 1.3))).sample(spec)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert star.star_product is not before[0]
+        star.star_product(f, f, SkewForm(np.array([[0.0, 1.0], [-1.0, 0.0]])))
+        grids.shift_batch(grids.forward_array(f.values, spec), spec, np.zeros((3, 2)))
+    finally:
+        tracer.uninstall()
+    assert (star.star_product, grids.shift_batch, grids.forward_array) == before
+    summary = tracer.summary()
+    assert summary["star.star_product"]["calls"] == 1
+    assert summary["grids.shift_batch"]["calls"] == 1
+    assert tracer.counts["grids.ramp_entries"] == 3 * spec.size
+    assert tracer.counts["grids.fft_points"] > 0
