@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from moyalorbit.covariance import FiberedFunction, GroupSample
-from moyalorbit.geometry import LorentzTransform, SkewForm, Spacetime
+from moyalorbit.geometry import SkewForm
 from moyalorbit.grids import GridFunction, GridSpec
 
 MAGIC = b"MOYA"
@@ -81,32 +80,3 @@ def read_grid(path) -> tuple:
     values = np.frombuffer(raw[16:], dtype="<c16")
     return GridFunction(spec, values.reshape((n,) * dim).copy()), sigma
 
-
-def write_fibered(dirpath, f: FiberedFunction, spacetime: Spacetime, sigma0: SkewForm) -> None:
-    """A FiberedFunction bundles as transforms.json + fiber_k.moya files."""
-    dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "metric": list(spacetime.metric),
-        "bounded_flag": f.sample.bounded_flag,
-        "bound": f.sample.bound,
-        "transforms": [t.to_json() for t in f.sample.transforms],
-    }
-    (dirpath / "transforms.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=1) + "\n"
-    )
-    for k, fib in enumerate(f.fibers):
-        write_grid(dirpath / f"fiber_{k}.moya", fib, sigma0)
-
-
-def read_fibered(dirpath, spacetime: Spacetime) -> FiberedFunction:
-    dirpath = Path(dirpath)
-    meta = json.loads((dirpath / "transforms.json").read_text())
-    transforms = tuple(
-        LorentzTransform(np.asarray(m), spacetime) for m in meta["transforms"]
-    )
-    sample = GroupSample(transforms, meta["bounded_flag"], meta["bound"])
-    fibers = tuple(
-        read_grid(dirpath / f"fiber_{k}.moya")[0] for k in range(len(transforms))
-    )
-    return FiberedFunction(sample, fibers)

@@ -29,10 +29,10 @@ class GridSpec:
             raise ValueError("dim must be >= 1")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of 2 and >= 8")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0 < self.length < np.inf:  # also false for NaN
+            raise ValueError(f"length must be positive and finite, got {self.length}")
+        if not 0 < self.theta < np.inf:
+            raise ValueError(f"theta must be positive and finite, got {self.theta}")
 
     @property
     def dx(self) -> float:

@@ -45,12 +45,11 @@ MAX_SIDE = 4096
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Square complex matrix of side N^d with provenance metadata."""
+    """Square complex matrix of side N^d, with the grid and form it acts for."""
 
     matrix: np.ndarray
     spec: GridSpec
     sigma: SkewForm
-    provenance: str = ""
 
     def __post_init__(self):
         side = self.spec.size

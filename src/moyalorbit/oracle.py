@@ -41,6 +41,12 @@ class GaussianFactor:
     width: float = 1.0
     freq: float = 0.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.center) and np.isfinite(self.freq)):
+            raise ValueError(f"center and freq must be finite, got {self.center}, {self.freq}")
+        if not 0 < self.width < np.inf:  # also false for NaN
+            raise ValueError(f"width must be positive and finite, got {self.width}")
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(

@@ -1,13 +1,15 @@
 """Named verification suites with machine-readable reports.
 
 Each suite returns {"suite": name, "checks": [...], "pass": bool} where a
-check carries its measured value and the tolerance it was held to.  The
-suites are deterministic for a fixed RunConfig (seeded randomness only).
+check carries its measured value and the tolerance it was held to.  Every
+bound, draw count and theta ladder is a module constant; a RunConfig sets
+only the model (spacetime, base form, grid, seed).  The suites are
+deterministic for a fixed RunConfig (seeded randomness only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +38,13 @@ from moyalorbit.star import (
 
 SUITE_NAMES = ("weyl", "equivariance", "cstar", "semiclassical")
 
-BLOCK_STRUCTURE_TOL = 1e-12  # largest off-block share of a blocked L_h
-
-DEFAULT_TOLERANCES = {
+# The pinned bound of every check: a config sets the model, never the verdict.
+TOLERANCES = {
     "weyl_phase": 1e-12,
     "weyl_assoc": 1e-12,
     "phi_equivariance": 1e-9,
     "gamma_covariance": 1e-9,
+    "block_structure": 1e-12,  # largest off-block share of a blocked L_h
     "hom_defect": 1e-3,
     "adjoint_defect": 1e-6,
     "cstar_defect": 0.05,
@@ -50,6 +52,9 @@ DEFAULT_TOLERANCES = {
     "slope_d1": (0.9, 1.1),
     "slope_d2": (1.8, 2.2),
 }
+
+DRAWS = 100  # random draws per check of the weyl and equivariance suites
+SEMICLASSICAL_THETAS = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,8 @@ class RunConfig:
     length: float = 8.0
     theta: float = 1.0
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
 
-    _KNOWN = {"dim", "metric", "sigma0", "grid", "seed", "tolerances"}
+    _KNOWN = {"dim", "metric", "sigma0", "grid", "seed"}
     _GRID_KNOWN = {"n", "length", "theta"}
 
     @classmethod
@@ -91,16 +95,6 @@ class RunConfig:
                 kwargs[key] = _as(kind, grid[key], f"grid.{key}")
         if "seed" in data:
             kwargs["seed"] = _as(int, data["seed"], "seed")
-        if "tolerances" in data:
-            tolerances = _as(dict, data["tolerances"], "tolerances")
-            unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
-            if unknown:
-                raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-            for key, value in tolerances.items():  # a number, or a [low, high] pair
-                shape = np.shape(DEFAULT_TOLERANCES[key])
-                if np.shape(_as([float] if shape else float, value, key)) != shape:
-                    raise ValueError(f"config value {key} must be a [low, high] pair")
-            kwargs["tolerances"] = tolerances
         return cls(**kwargs)
 
     def spacetime(self) -> Spacetime:
@@ -112,9 +106,6 @@ class RunConfig:
             form.assert_invertible()
             return form
         return standard_skew(self.spacetime())
-
-    def tol(self, key: str):
-        return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
 
 def _as(kind, value, key: str):
@@ -160,12 +151,12 @@ def semiclassical_pair(cfg: RunConfig) -> tuple:
     return f.sample(spec), g.sample(spec)
 
 
-def suite_weyl(cfg: RunConfig, n_draws: int = 100) -> dict:
+def suite_weyl(cfg: RunConfig) -> dict:
     """Exact Weyl relations and associativity in the twisted group algebra."""
     st = cfg.spacetime()
     sigma0 = cfg.base_form()
     rng = np.random.default_rng(cfg.seed)
-    forms = [s for _, s in sample_orbit(st, n_draws, cfg.seed, sigma0)]
+    forms = [s for _, s in sample_orbit(st, DRAWS, cfg.seed, sigma0)]
     worst_phase = 0.0
     worst_assoc = 0.0
     for sigma in forms:
@@ -192,8 +183,8 @@ def suite_weyl(cfg: RunConfig, n_draws: int = 100) -> dict:
             max(abs(left.terms.get(k, 0) - right.terms.get(k, 0)) for k in keys),
         )
     checks = [
-        _check("weyl_relation_phase", worst_phase, cfg.tol("weyl_phase")),
-        _check("generator_associativity", worst_assoc, cfg.tol("weyl_assoc")),
+        _check("weyl_relation_phase", worst_phase, TOLERANCES["weyl_phase"]),
+        _check("generator_associativity", worst_assoc, TOLERANCES["weyl_assoc"]),
     ]
     return {"suite": "weyl", "checks": checks, "pass": all(c["pass"] for c in checks)}
 
@@ -211,7 +202,7 @@ def _gaussian_fibers(sample, spec, rng) -> cov.FiberedFunction:
     return cov.FiberedFunction(sample, tuple(fibers))
 
 
-def suite_equivariance(cfg: RunConfig, n_draws: int = 100) -> dict:
+def suite_equivariance(cfg: RunConfig) -> dict:
     """Phi^alpha equivariance and tau-gamma covariance at roundoff scale."""
     st = _plane_spacetime()
     spec = GridSpec(dim=2, n=cfg.n, length=cfg.length, theta=cfg.theta)
@@ -219,7 +210,7 @@ def suite_equivariance(cfg: RunConfig, n_draws: int = 100) -> dict:
     rng = np.random.default_rng(cfg.seed + 1)
     int_alphas = [np.array(a, dtype=float) for a in ((1, 0), (0, 1), (1, 1), (1, -1))]
     worst_phi = 0.0
-    for _ in range(n_draws):
+    for _ in range(DRAWS):
         t1 = random_lorentz(st, rng, max_word=2)
         t2 = random_lorentz(st, rng, max_word=2)
         sample = cov.GroupSample((t1, t2))
@@ -233,7 +224,7 @@ def suite_equivariance(cfg: RunConfig, n_draws: int = 100) -> dict:
         worst_phi = max(worst_phi, cov.check_phi_equivariance(alpha, x, psi, spec))
     reflections = [parity(st), time_reversal(st)]
     worst_gamma = 0.0
-    for _ in range(n_draws):
+    for _ in range(DRAWS):
         t = random_lorentz(st, rng, max_word=2)
         s = reflections[int(rng.integers(2))]
         sample = cov.GroupSample((t, t.compose(s)))
@@ -241,8 +232,8 @@ def suite_equivariance(cfg: RunConfig, n_draws: int = 100) -> dict:
         x = rng.uniform(-0.3, 0.3, 2)
         worst_gamma = max(worst_gamma, cov.check_gamma_covariance(s, x, f))
     checks = [
-        _check("phi_equivariance", worst_phi, cfg.tol("phi_equivariance")),
-        _check("gamma_covariance", worst_gamma, cfg.tol("gamma_covariance")),
+        _check("phi_equivariance", worst_phi, TOLERANCES["phi_equivariance"]),
+        _check("gamma_covariance", worst_gamma, TOLERANCES["gamma_covariance"]),
     ]
     return {
         "suite": "equivariance",
@@ -299,14 +290,14 @@ def suite_cstar(cfg: RunConfig) -> dict:
     cstar = abs(norm_fsf - norm_f**2) / norm_f**2
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (bfsf + _adjoint(bfsf)))))
     checks = [
-        _check("block_structure_defect", max(off_block), BLOCK_STRUCTURE_TOL),
-        _check("homomorphism_defect", hom, cfg.tol("hom_defect")),
-        _check("adjoint_defect", adj, cfg.tol("adjoint_defect")),
-        _check("cstar_identity_defect", cstar, cfg.tol("cstar_defect")),
+        _check("block_structure_defect", max(off_block), TOLERANCES["block_structure"]),
+        _check("homomorphism_defect", hom, TOLERANCES["hom_defect"]),
+        _check("adjoint_defect", adj, TOLERANCES["adjoint_defect"]),
+        _check("cstar_identity_defect", cstar, TOLERANCES["cstar_defect"]),
         _check(
             "positivity_min_eig",
             min_eig,
-            -cfg.tol("positivity") * norm_f**2,
+            -TOLERANCES["positivity"] * norm_f**2,
             mode="ge",
         ),
     ]
@@ -323,13 +314,13 @@ def suite_cstar(cfg: RunConfig) -> dict:
     }
 
 
-def suite_semiclassical(cfg: RunConfig, thetas=(1.0, 0.5, 0.25, 0.125, 0.0625)) -> dict:
+def suite_semiclassical(cfg: RunConfig) -> dict:
     """Log-log slopes of the commutative-limit defects D1 and D2."""
     f, g = semiclassical_pair(cfg)
-    result = semiclassical_sweep(f, g, _plane_form(), thetas)
+    result = semiclassical_sweep(f, g, _plane_form(), SEMICLASSICAL_THETAS)
     checks = [
-        _check("slope_d1", result["slope_d1"], cfg.tol("slope_d1"), mode="range"),
-        _check("slope_d2", result["slope_d2"], cfg.tol("slope_d2"), mode="range"),
+        _check("slope_d1", result["slope_d1"], TOLERANCES["slope_d1"], mode="range"),
+        _check("slope_d2", result["slope_d2"], TOLERANCES["slope_d2"], mode="range"),
         _check(
             "d2_monotone_decreasing",
             float(

@@ -60,7 +60,7 @@ def report_line(name, value, tol, ok):
 
 
 def test_criterion_1_weyl_relations():
-    rep = suite_weyl(CFG, n_draws=100)
+    rep = suite_weyl(CFG)
     worst = max(c["value"] for c in rep["checks"])
     report_line("weyl relations + associativity", worst, 1e-12, rep["pass"])
     assert rep["pass"]
@@ -162,7 +162,7 @@ def test_criterion_5_pointwise_theorem():
 
 
 def test_criterion_6_equivariance():
-    rep = suite_equivariance(CFG, n_draws=100)
+    rep = suite_equivariance(CFG)
     worst = max(c["value"] for c in rep["checks"])
     report_line("equivariance + covariance", worst, 1e-9, rep["pass"])
     assert rep["pass"]

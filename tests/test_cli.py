@@ -1,15 +1,18 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from moyalorbit import suites
 from moyalorbit.cli import main
 from moyalorbit.gridio import read_grid
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
 from moyalorbit.star import star_product
-from moyalorbit.suites import RunConfig, suite_semiclassical
+from moyalorbit.suites import SEMICLASSICAL_THETAS, RunConfig, suite_semiclassical
 
 PLANE_CFG = {"dim": 2, "metric": [1, -1], "grid": {"n": 32}}
 
@@ -88,6 +91,27 @@ def test_gauss_star_oracle_pipeline_d4(tmp_path):
     assert summary["oracle_defect"] == expected
 
 
+@pytest.mark.parametrize("factor", ["0.1,-1.2,0", "0.1,0,0"])
+def test_gauss_rejects_non_positive_width(tmp_path, capsys, factor):
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    out = tmp_path / "f.moya"
+    argv = ["--config", cfg, "gauss", f"--factor={factor}", "--factor=0,1.2,0"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: width must be positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", ["length", "theta"])
+def test_non_finite_grid_config_is_usage_error(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, dict(PLANE_CFG, grid={"n": 32, key: value}))
+    out = tmp_path / "f.moya"
+    argv = ["--config", cfg, "gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be positive and finite")
+    assert not out.exists()
+
+
 def test_star_rejects_mismatched_grids(tmp_path):
     cfg = write_cfg(tmp_path, PLANE_CFG)
     cfg_big = write_cfg(tmp_path, dict(PLANE_CFG, grid={"n": 64}), name="big.json")
@@ -148,14 +172,15 @@ def test_sweep_writes_csv(tmp_path):
 def test_sweep_rows_equal_suite_semiclassical_rows(tmp_path):
     # sweep and the semiclassical suite run the same fixture on the same grid
     cfg = write_cfg(tmp_path, PLANE_CFG)
-    rc = main(["--config", cfg, "sweep", "--theta", "1,0.5,0.25", "--out", str(tmp_path)])
+    ladder = ",".join(map(repr, SEMICLASSICAL_THETAS))
+    rc = main(["--config", cfg, "sweep", "--theta", ladder, "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
     csv_rows = [
         dict(zip(("theta", "d1", "d2"), (float(v) for v in line.split(",")[:3])))
         for line in lines
     ]
-    suite = suite_semiclassical(RunConfig.from_dict(PLANE_CFG), thetas=(1.0, 0.5, 0.25))
+    suite = suite_semiclassical(RunConfig.from_dict(PLANE_CFG))
     assert csv_rows == suite["rows"]
 
 
@@ -172,15 +197,31 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert rc == 2
 
 
-def test_misspelled_tolerance_is_usage_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"weyl_phse": -1}})
+def test_tolerances_config_key_is_usage_error(tmp_path, capsys):
+    # the bounds are pinned in suites.TOLERANCES; a config cannot move them
+    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"weyl_phase": 1.0}})
     rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
     assert rc == 2
-    assert "weyl_phse" in capsys.readouterr().err
-    # spelled right, the same impossible bound is a check failure
-    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"weyl_phase": -1}})
-    rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
+    assert "'tolerances'" in capsys.readouterr().err
+
+
+def test_impossible_bound_is_check_failure(tmp_path, monkeypatch):
+    monkeypatch.setitem(suites.TOLERANCES, "weyl_phase", -1.0)
+    rc = main(["verify", "--suite", "weyl", "--out", str(tmp_path)])
     assert rc == 1
+
+
+def test_suites_take_only_the_config():
+    # draw counts and theta ladders are module constants, not per-call knobs
+    tree = ast.parse(Path(suites.__file__).read_text())
+    signatures = {
+        node.name: [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+        + [a.arg for a in (node.args.vararg, node.args.kwarg) if a]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")
+    }
+    assert set(signatures) >= {f"suite_{name}" for name in suites.SUITE_NAMES}
+    assert {name: args for name, args in signatures.items() if args != ["cfg"]} == {}
 
 
 def test_out_config_key_is_usage_error(tmp_path, capsys):
@@ -193,13 +234,6 @@ def test_out_config_key_is_usage_error(tmp_path, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_block_structure_bound_is_not_a_tolerance_key(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"block_structure": 1.0}})
-    rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "block_structure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Binary grid format and fibered-bundle round trips."""
+"""Binary grid format round trips and malformed-file errors."""
 
 import json
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from moyalorbit import gridio
-from moyalorbit.covariance import FiberedFunction, GroupSample
-from moyalorbit.geometry import Spacetime, random_lorentz, standard_skew
+from moyalorbit.geometry import Spacetime, standard_skew
 from moyalorbit.grids import GridFunction, GridSpec
 
 ST2 = Spacetime(2, (1, -1))
@@ -100,18 +99,3 @@ def test_unsupported_version_raises(tmp_path):
     with pytest.raises(gridio.FormatError):
         gridio.read_grid(path)
 
-
-def test_fibered_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    sample = GroupSample(
-        tuple(random_lorentz(ST2, rng, max_word=2) for _ in range(3))
-    )
-    fibers = tuple(random_grid(seed=10 + k) for k in range(3))
-    f = FiberedFunction(sample, fibers)
-    gridio.write_fibered(tmp_path / "bundle", f, ST2, PLANE)
-    g = gridio.read_fibered(tmp_path / "bundle", ST2)
-    for a, b in zip(g.fibers, f.fibers):
-        assert a.spec == b.spec
-        np.testing.assert_array_equal(a.values, b.values)
-    for a, b in zip(g.sample.transforms, f.sample.transforms):
-        np.testing.assert_array_equal(a.matrix, b.matrix)

@@ -35,6 +35,13 @@ def test_spec_validation():
         GridSpec(dim=2, n=4)  # too small
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["length", "theta"])
+def test_spec_rejects_non_finite_length_and_theta(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        GridSpec(dim=2, n=16, **{field: value})
+
+
 def test_axis_is_centered():
     spec = GridSpec(dim=1, n=16, length=8.0)
     axis = spec.axis()

@@ -112,7 +112,7 @@ def test_dimension_and_size_guards():
 def test_operator_matrix_shape_guard():
     spec = GridSpec(dim=2, n=16, length=8.0)
     with pytest.raises(ValueError):
-        OperatorMatrix(np.eye(7), spec, PLANE, "bad")
+        OperatorMatrix(np.eye(7), spec, PLANE)
 
 
 def test_suite_cstar_takes_five_spectral_norms(monkeypatch):

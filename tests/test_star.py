@@ -116,6 +116,22 @@ def spec64(theta=1.0):
     return GridSpec(dim=2, n=64, length=8.0, theta=theta)
 
 
+@pytest.mark.parametrize(
+    "center, width, freq",
+    [
+        (0.1, -1.2, 0.0),  # a negative width flips the sign of prod(w_g)
+        (0.1, 0.0, 0.0),  # a zero width divides by zero
+        (0.1, np.nan, 0.0),
+        (0.1, np.inf, 0.0),
+        (np.nan, 1.2, 0.0),
+        (0.1, 1.2, -np.inf),
+    ],
+)
+def test_gaussian_factor_rejects_bad_parameters(center, width, freq):
+    with pytest.raises(ValueError):
+        GaussianFactor(center, width, freq)
+
+
 def test_frozen_oracle_point_quadrature():
     val = star_oracle_point(F_GAUSS, G_GAUSS, PLANE, 1.0, (0.5, -0.25))
     assert abs(val - ORACLE_POINT) < 1e-10
