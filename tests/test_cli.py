@@ -197,9 +197,20 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert rc == 2
 
 
-def test_tolerances_config_key_is_usage_error(tmp_path, capsys):
-    # the bounds are pinned in suites.TOLERANCES; a config cannot move them
-    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"weyl_phase": 1.0}})
+def test_misspelled_tolerance_is_usage_error(tmp_path, capsys):
+    # the bounds are pinned in suites.TOLERANCES; a config naming
+    # "tolerances" is an unknown key, spelled right or not
+    for bounds in ({"weyl_phse": -1}, {"weyl_phase": -1}):
+        cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": bounds})
+        rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "'tolerances'" in capsys.readouterr().err
+
+
+def test_block_structure_bound_is_not_a_tolerance_key(tmp_path, capsys):
+    # block_structure sits in the pinned table, but no config can reach it
+    assert suites.TOLERANCES["block_structure"] == 1e-12
+    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"block_structure": 1.0}})
     rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
     assert rc == 2
     assert "'tolerances'" in capsys.readouterr().err
