@@ -1,8 +1,10 @@
 """Group actions on fibered functions over a finite sample of transforms.
 
-A FiberedFunction assigns one GridFunction to each transform in a finite
-group sample; all actions here are precompositions with the point maps
-(x-translation tau, right translation gamma), so the pinned conventions are
+A FiberedFunction holds one grid function per transform of a finite group
+sample, stacked in one array; a line function psi(T, r) is a FiberedFunction
+on a one-dimensional grid.  All actions here are precompositions with the
+point maps (x-translation tau, right translation gamma), so the pinned
+conventions are
 
     (tau_x F)(T, q) = F(T, q + T x)
     (gamma_S F)(T, q) = F(T S^-1, q)
@@ -35,22 +37,20 @@ MODULUS_RADIUS = 20.0
 
 @dataclass(frozen=True)
 class GroupSample:
-    """A finite, nonempty list of transforms, optionally flagged as bounded."""
+    """A finite, nonempty list of transforms."""
 
     transforms: tuple
-    bounded_flag: bool = False
-    bound: float | None = None
 
     def __post_init__(self):
         if len(self.transforms) == 0:
             raise ValueError("group sample must be nonempty")
-        if self.bounded_flag:
-            top = max(np.linalg.norm(t.matrix, 2) for t in self.transforms)
-            if self.bound is None or top > self.bound:
-                raise ValueError("bounded_flag requires max operator norm <= bound")
 
     def __len__(self) -> int:
         return len(self.transforms)
+
+    def norm_bound(self) -> float:
+        """max ||T||_2 over the sample, so |alpha(T x)| <= |alpha| norm_bound() |x|."""
+        return max(float(np.linalg.norm(t.matrix, 2)) for t in self.transforms)
 
     def index_of(self, matrix: np.ndarray) -> int:
         for i, t in enumerate(self.transforms):
@@ -59,95 +59,80 @@ class GroupSample:
         raise KeyError("transform not found in sample")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberedFunction:
-    """One GridFunction per sample transform, sharing a single GridSpec."""
+    """One grid function per sample transform: values[i] is the fiber of transform i.
+
+    values has shape (len(sample),) + (N,)*spec.dim and is copied, frozen and
+    checked as GridFunction's values are.
+    """
 
     sample: GroupSample
-    fibers: tuple
+    spec: GridSpec
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.fibers) != len(self.sample):
-            raise ValueError("one fiber per transform required")
-        spec = self.fibers[0].spec
-        if any(f.spec != spec for f in self.fibers):
-            raise ValueError("fibers must share one GridSpec")
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.fibers[0].spec
-
-    def max_abs_diff(self, other: "FiberedFunction") -> float:
-        return max(
-            float(np.max(np.abs(a.values - b.values)))
-            for a, b in zip(self.fibers, other.fibers)
-        )
-
-
-@dataclass(frozen=True)
-class RealLineFunction:
-    """Per-fiber 1-D periodic grid function psi(T, r), r in [-L/2, L/2)."""
-
-    sample: GroupSample
-    spec1d: GridSpec
-    values: np.ndarray  # (n_fibers, N)
-
-    def __post_init__(self):
-        if self.spec1d.dim != 1:
-            raise ValueError("spec1d must be one-dimensional")
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (len(self.sample), self.spec1d.n):
-            raise ValueError("values must have shape (n_fibers, N)")
-        if not np.all(np.isfinite(v)):
+        values = np.array(self.values, dtype=complex)  # a copy: freezing must not reach the caller
+        shape = (len(self.sample),) + (self.spec.n,) * self.spec.dim
+        if values.shape != shape:
+            raise ValueError(f"values must have shape {shape}, got {values.shape}")
+        if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        object.__setattr__(self, "values", v)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_callable(cls, sample: GroupSample, spec1d: GridSpec, fn) -> "RealLineFunction":
-        r = spec1d.axis()
-        vals = np.stack([np.asarray(fn(t, r), dtype=complex) for t in sample.transforms])
-        return cls(sample, spec1d, vals)
+    def from_callable(cls, sample: GroupSample, spec: GridSpec, fn) -> "FiberedFunction":
+        """Fiber T is fn(T, x_1, ..., x_d) on spec's mesh."""
+        mesh = spec.mesh()
+        return cls(sample, spec, np.stack([fn(t, *mesh) for t in sample.transforms]))
+
+    def fiber(self, i: int) -> GridFunction:
+        return GridFunction(self.spec, self.values[i])
+
+    def max_abs_diff(self, other: "FiberedFunction") -> float:
+        return float(np.max(np.abs(self.values - other.values)))
+
+
+def _shifted(f: FiberedFunction, shifts: np.ndarray) -> FiberedFunction:
+    """Fiber i moved to x -> f_i(x + shifts[i]): one transform and one ramp batch."""
+    values = shift_batch(forward_array(f.values, f.spec), f.spec, shifts)
+    return FiberedFunction(f.sample, f.spec, values)
 
 
 def tau_act(x, f: FiberedFunction) -> FiberedFunction:
-    """(tau_x F)(T, q) = F(T, q + T x): every fiber in one phase-ramp batch."""
-    shifts = np.stack([t.matrix @ x for t in f.sample.transforms])
-    fhat = forward_array(np.stack([fib.values for fib in f.fibers]), f.spec)
-    values = shift_batch(fhat, f.spec, shifts)
-    return FiberedFunction(f.sample, tuple(GridFunction(f.spec, v) for v in values))
+    """(tau_x F)(T, q) = F(T, q + T x)."""
+    return _shifted(f, np.stack([t.matrix @ x for t in f.sample.transforms]))
 
 
 def gamma_act(s: LorentzTransform, f: FiberedFunction) -> FiberedFunction:
     """(gamma_S F)(T, q) = F(T S^-1, q); sample must contain each T S^-1."""
     s_inv = s.inverse().matrix
-    fibers = []
-    for t in f.sample.transforms:
-        j = f.sample.index_of(t.matrix @ s_inv)
-        fibers.append(f.fibers[j])
-    return FiberedFunction(f.sample, tuple(fibers))
+    order = [f.sample.index_of(t.matrix @ s_inv) for t in f.sample.transforms]
+    return FiberedFunction(f.sample, f.spec, f.values[order])
 
 
-def rho_act(alpha, x, psi: RealLineFunction) -> RealLineFunction:
-    """(rho_x psi)(T, r) = psi(T, r + alpha(T x)): every fiber in one 1-D batch."""
+def rho_act(alpha, x, psi: FiberedFunction) -> FiberedFunction:
+    """(rho_x psi)(T, r) = psi(T, r + alpha(T x)) for a line function psi."""
     alpha = np.asarray(alpha, dtype=float)
-    shifts = np.array([[alpha @ (t.matrix @ x)] for t in psi.sample.transforms])
-    values = shift_batch(forward_array(psi.values, psi.spec1d), psi.spec1d, shifts)
-    return RealLineFunction(psi.sample, psi.spec1d, values)
+    return _shifted(psi, np.array([[alpha @ (t.matrix @ x)] for t in psi.sample.transforms]))
 
 
-def phi_alpha(alpha, psi: RealLineFunction, grid: GridSpec) -> FiberedFunction:
+def phi_alpha(alpha, psi: FiberedFunction, grid: GridSpec) -> FiberedFunction:
     """(Phi^alpha psi)(T, q) = psi(T, alpha(q)), by spectral interpolation."""
-    spec1d = psi.spec1d
+    spec1d = psi.spec
+    if spec1d.dim != 1:
+        raise ValueError("psi must be a line function (a one-dimensional grid)")
     if grid.length != spec1d.length:
         raise ValueError("grid and line function box lengths must agree")
     coeffs = forward_array(psi.values, spec1d) * spec1d.dx  # (n_fibers, N)
     # e(alpha(q) p) = prod_a e(p alpha_a q_a): one table [p, q] for every fiber
     waves = separable_waves(np.outer(spec1d.dual_axis(), alpha), grid.axis())
     values = np.tensordot(coeffs, waves, axes=(1, 0)) * spec1d.dp
-    return FiberedFunction(psi.sample, tuple(GridFunction(grid, v) for v in values))
+    return FiberedFunction(psi.sample, grid, values)
 
 
-def check_phi_equivariance(alpha, x, psi: RealLineFunction, grid: GridSpec) -> float:
+def check_phi_equivariance(alpha, x, psi: FiberedFunction, grid: GridSpec) -> float:
     """Max-entry defect of Phi^alpha(rho_x psi) = tau_x(Phi^alpha psi)."""
     lhs = phi_alpha(alpha, rho_act(alpha, x, psi), grid)
     rhs = tau_act(x, phi_alpha(alpha, psi, grid))
@@ -165,22 +150,16 @@ def check_gamma_covariance(s: LorentzTransform, x, f: FiberedFunction) -> float:
 def restrict_to_E(f: FiberedFunction, subset) -> FiberedFunction:
     """Restriction to a nonempty subset of fiber indices."""
     subset = list(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    sample = GroupSample(
-        tuple(f.sample.transforms[i] for i in subset),
-        f.sample.bounded_flag,
-        f.sample.bound,
-    )
-    return FiberedFunction(sample, tuple(f.fibers[i] for i in subset))
+    sample = GroupSample(tuple(f.sample.transforms[i] for i in subset))
+    return FiberedFunction(sample, f.spec, f.values[subset])
 
 
 def modulus_of_continuity(alpha, phi, sample: GroupSample, xs) -> list:
     """sup over T in the sample and r of |phi(r - alpha(Tx)) - phi(r)| per x.
 
     phi is a callable on the real line, sampled at MODULUS_POINTS points of
-    [-MODULUS_RADIUS, MODULUS_RADIUS].  For a bounded sample and Lipschitz phi
-    the modulus is <= Lip * sup|alpha^t T| * |x|; along an unbounded boost
+    [-MODULUS_RADIUS, MODULUS_RADIUS].  For Lipschitz phi the modulus is
+    <= Lip * |alpha| * sample.norm_bound() * |x|; along an unbounded boost
     sequence it need not vanish as x -> 0.
     """
     alpha = np.asarray(alpha, dtype=float)
@@ -203,16 +182,19 @@ def fibered_star_product(
     """Fiberwise star product; fiber T deforms along T sigma0 T^t."""
     if f.spec != g.spec:
         raise ValueError("grid specs do not match")
-    fibers = []
-    for t, ff, gf in zip(f.sample.transforms, f.fibers, g.fibers):
-        fibers.append(star_product(ff, gf, act_on_form(t, sigma0)))
-    return FiberedFunction(f.sample, tuple(fibers))
+    values = np.stack(
+        [
+            star_product(f.fiber(i), g.fiber(i), act_on_form(t, sigma0)).values
+            for i, t in enumerate(f.sample.transforms)
+        ]
+    )
+    return FiberedFunction(f.sample, f.spec, values)
 
 
 def check_pointwise_theorem(
     alpha,
-    psi1: RealLineFunction,
-    psi2: RealLineFunction,
+    psi1: FiberedFunction,
+    psi2: FiberedFunction,
     sigma0: SkewForm,
     grid: GridSpec,
     alpha2=None,
@@ -227,11 +209,14 @@ def check_pointwise_theorem(
     f2 = phi_alpha(a2, psi2, grid)
     prod = fibered_star_product(f1, f2, sigma0)
     return max(
-        relative_l2(fib, c1 * c2) for fib, c1, c2 in zip(prod.fibers, f1.fibers, f2.fibers)
+        relative_l2(prod.fiber(i), f1.fiber(i) * f2.fiber(i)) for i in range(len(prod.sample))
     )
 
 
 def lift_from_sigma(h, sample: GroupSample, sigma0: SkewForm) -> FiberedFunction:
     """Fiber T -> h(T sigma0 T^t) for h defined on the sampled orbit points."""
-    fibers = tuple(h(act_on_form(t, sigma0)) for t in sample.transforms)
-    return FiberedFunction(sample, fibers)
+    fibers = [h(act_on_form(t, sigma0)) for t in sample.transforms]
+    spec = fibers[0].spec
+    if any(f.spec != spec for f in fibers):
+        raise ValueError("fibers must share one GridSpec")
+    return FiberedFunction(sample, spec, np.stack([f.values for f in fibers]))

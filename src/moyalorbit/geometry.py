@@ -258,15 +258,13 @@ def q_form(sigma: SkewForm, alpha: np.ndarray, beta: np.ndarray) -> float:
     return float(beta @ (sigma.matrix @ alpha))
 
 
-def orbit_invariants(sigma: SkewForm, st: Spacetime | None = None) -> np.ndarray:
+def orbit_invariants(sigma: SkewForm, st: Spacetime) -> np.ndarray:
     """Necessary-condition invariants: tr((eta sigma)^2k), k=1..d/2, and Pf(sigma)^2.
 
     Each trace is invariant under sigma -> T sigma T^t for metric-preserving T
     (eta sigma then conjugates), and Pf^2 = det is invariant since det T = +/-1.
     """
     d = sigma.dim
-    if st is None:
-        st = Spacetime(d, tuple([1] + [-1] * (d - 1)))
     k = st.eta @ sigma.matrix
     p = k @ k
     vals = []

@@ -72,6 +72,10 @@ class RunConfig:
     _KNOWN = {"dim", "metric", "sigma0", "grid", "seed"}
     _GRID_KNOWN = {"n", "length", "theta"}
 
+    def __post_init__(self):
+        # GridSpec holds the grid rules: an invalid grid fails at load, for every command
+        GridSpec(dim=1, n=self.n, length=self.length, theta=self.theta)
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         unknown = set(_as(dict, data, "(top level)")) - cls._KNOWN
@@ -198,8 +202,8 @@ def _gaussian_fibers(sample, spec, rng) -> cov.FiberedFunction:
                 for _ in range(spec.dim)
             )
         )
-        fibers.append(g.sample(spec))
-    return cov.FiberedFunction(sample, tuple(fibers))
+        fibers.append(g.sample(spec).values)
+    return cov.FiberedFunction(sample, spec, np.stack(fibers))
 
 
 def suite_equivariance(cfg: RunConfig) -> dict:
@@ -216,7 +220,7 @@ def suite_equivariance(cfg: RunConfig) -> dict:
         sample = cov.GroupSample((t1, t2))
         c = float(rng.uniform(-0.3, 0.3))
         w = float(rng.uniform(0.9, 1.3))
-        psi = cov.RealLineFunction.from_callable(
+        psi = cov.FiberedFunction.from_callable(
             sample, spec1d, lambda t, r: np.exp(-np.pi * (r - c) ** 2 / w**2)
         )
         alpha = int_alphas[int(rng.integers(len(int_alphas)))]

@@ -144,10 +144,10 @@ def test_criterion_5_pointwise_theorem():
     sample = cov.GroupSample(
         tuple(random_lorentz(ST2, rng, max_word=2) for _ in range(5))
     )
-    psi1 = cov.RealLineFunction.from_callable(
+    psi1 = cov.FiberedFunction.from_callable(
         sample, spec1d, lambda t, r: np.exp(-np.pi * (r - 0.1) ** 2 / 1.3**2)
     )
-    psi2 = cov.RealLineFunction.from_callable(
+    psi2 = cov.FiberedFunction.from_callable(
         sample, spec1d, lambda t, r: np.exp(-np.pi * (r + 0.2) ** 2)
     )
     alpha = np.array([1.0, 1.0])

@@ -101,14 +101,29 @@ def test_gauss_rejects_non_positive_width(tmp_path, capsys, factor):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("key", ["length", "theta"])
+GRID_ERRORS = {
+    "length": "length must be positive and finite",
+    "theta": "theta must be positive and finite",
+    "n": "n must be a power of 2",
+}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [(k, v) for k in ("length", "theta") for v in (float("nan"), float("inf"), float("-inf"))]
+    + [("n", 5)],
+)
 def test_non_finite_grid_config_is_usage_error(tmp_path, capsys, key, value):
+    # the grid is checked when the config loads, so commands that never build it fail too
     cfg = write_cfg(tmp_path, dict(PLANE_CFG, grid={"n": 32, key: value}))
-    out = tmp_path / "f.moya"
-    argv = ["--config", cfg, "gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"]
-    assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {key} must be positive and finite")
+    out = tmp_path / "out"
+    for command in (
+        ["gauss", "--factor=0,1.2,0", "--factor=0,1.2,0", "--out", str(out / "f.moya")],
+        ["orbit", "-n", "2", "--out", str(out)],
+        ["verify", "--suite", "weyl", "--out", str(out)],
+    ):
+        assert main(["--config", cfg, *command]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {GRID_ERRORS[key]}")
     assert not out.exists()
 
 

@@ -31,7 +31,7 @@ def gaussian_fiber(spec, c=(0.0, 0.0), w=(1.2, 1.3)):
 
 
 def line_gaussian(sample, c=0.0, w=1.0):
-    return cov.RealLineFunction.from_callable(
+    return cov.FiberedFunction.from_callable(
         sample, SPEC1D, lambda t, r: np.exp(-np.pi * (r - c) ** 2 / w**2)
     )
 
@@ -43,22 +43,48 @@ def small_sample(seed=0, size=3):
     )
 
 
-def test_group_sample_bounded_flag_guard():
-    t = make_boost(ST2, 1, 2.0)
-    with pytest.raises(ValueError):
-        cov.GroupSample((t,), bounded_flag=True, bound=1.0)
-    cov.GroupSample((t,), bounded_flag=True, bound=10.0)  # ok
+def test_group_sample_norm_bound():
+    # a boost of rapidity r has spectral norm e^|r|; the bound is the sample's largest
+    sample = cov.GroupSample(tuple(make_boost(ST2, 1, r) for r in (0.5, -2.0, 1.0)))
+    assert abs(sample.norm_bound() - np.exp(2.0)) < 1e-12
+
+
+def test_fibered_function_rejects_wrong_shape_and_non_finite_values():
+    sample = small_sample(size=2)
+    with pytest.raises(ValueError, match="shape"):
+        cov.FiberedFunction(sample, SPEC, np.zeros((3, 64, 64)))
+    with pytest.raises(ValueError, match="shape"):
+        cov.FiberedFunction(sample, SPEC1D, np.zeros((2, 64, 64)))
+    bad = np.zeros((2, 64))
+    bad[1, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        cov.FiberedFunction(sample, SPEC1D, bad)
+
+
+def test_fibered_function_does_not_freeze_caller_array():
+    values = np.zeros((2, 64))
+    f = cov.FiberedFunction(small_sample(size=2), SPEC1D, values)
+    values[0, 0] = 1.0  # the caller's array stays writable
+    assert f.values[0, 0] == 0.0
+    assert not f.values.flags.writeable
+
+
+def test_phi_alpha_rejects_a_two_dimensional_psi():
+    sample = small_sample(size=2)
+    psi = cov.FiberedFunction(sample, SPEC, np.zeros((2, 64, 64)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        cov.phi_alpha(np.array([1.0, 0.0]), psi, SPEC)
 
 
 def test_tau_and_rho_match_per_fiber_shift_bit_for_bit():
     rng = np.random.default_rng(7)
     sample = small_sample(seed=7, size=4)
     vals = rng.normal(size=(4, 64, 64)) + 1j * rng.normal(size=(4, 64, 64))
-    f = cov.FiberedFunction(sample, tuple(GridFunction(SPEC, v) for v in vals))
+    f = cov.FiberedFunction(sample, SPEC, vals)
     x, alpha = np.array([0.3, -0.45]), np.array([0.8, 0.35])
-    for t, fib, ref in zip(sample.transforms, cov.tau_act(x, f).fibers, f.fibers):
-        assert np.array_equal(fib.values, shift(ref, t.matrix @ x).values)
-    psi = cov.RealLineFunction(sample, SPEC1D, rng.normal(size=(4, 64)))
+    for t, fib, ref in zip(sample.transforms, cov.tau_act(x, f).values, vals):
+        assert np.array_equal(fib, shift(GridFunction(SPEC, ref), t.matrix @ x).values)
+    psi = cov.FiberedFunction(sample, SPEC1D, rng.normal(size=(4, 64)))
     rows = cov.rho_act(alpha, x, psi).values
     for t, row, ref in zip(sample.transforms, rows, psi.values):
         single = shift(GridFunction(SPEC1D, ref), alpha @ (t.matrix @ x))
@@ -67,14 +93,13 @@ def test_tau_and_rho_match_per_fiber_shift_bit_for_bit():
 
 def test_tau_act_shifts_each_fiber():
     sample = small_sample()
-    fibers = tuple(gaussian_fiber(SPEC) for _ in range(len(sample)))
-    f = cov.FiberedFunction(sample, fibers)
+    f = cov.FiberedFunction(sample, SPEC, np.stack([gaussian_fiber(SPEC).values] * len(sample)))
     x = np.array([0.25, -0.1])
     shifted = cov.tau_act(x, f)
-    for t, fib in zip(sample.transforms, shifted.fibers):
+    for t, fib in zip(sample.transforms, shifted.values):
         tx = t.matrix @ x
         expected = gaussian_fiber(SPEC, c=(-tx[0], -tx[1]))
-        assert np.max(np.abs(fib.values - expected.values)) < 1e-9
+        assert np.max(np.abs(fib - expected.values)) < 1e-9
 
 
 def test_gamma_covariance_identity():
@@ -82,11 +107,11 @@ def test_gamma_covariance_identity():
     for s in (parity(ST2), time_reversal(ST2)):
         t = random_lorentz(ST2, rng, max_word=2)
         sample = cov.GroupSample((t, t.compose(s)))
-        fibers = tuple(
-            gaussian_fiber(SPEC, c=(float(rng.uniform(-0.2, 0.2)), 0.0))
+        fibers = [
+            gaussian_fiber(SPEC, c=(float(rng.uniform(-0.2, 0.2)), 0.0)).values
             for _ in range(2)
-        )
-        f = cov.FiberedFunction(sample, fibers)
+        ]
+        f = cov.FiberedFunction(sample, SPEC, np.stack(fibers))
         x = np.array([0.2, -0.3])
         assert cov.check_gamma_covariance(s, x, f) < 1e-9
 
@@ -114,13 +139,13 @@ def test_phi_alpha_matches_closed_form(alpha):
     sample = small_sample(seed=8, size=2)
     centers, w = (0.1, -0.3), 1.1
     r = SPEC1D.axis()
-    psi = cov.RealLineFunction(
+    psi = cov.FiberedFunction(
         sample, SPEC1D, np.stack([np.exp(-np.pi * (r - c) ** 2 / w**2) for c in centers])
     )
     out = cov.phi_alpha(np.array(alpha), psi, SPEC)
     aq = np.tensordot(np.array(alpha), SPEC.mesh(), axes=(0, 0))
-    for fib, c in zip(out.fibers, centers):
-        assert np.max(np.abs(fib.values - periodic_gaussian(aq, c, w))) <= 1e-10
+    for fib, c in zip(out.values, centers):
+        assert np.max(np.abs(fib - periodic_gaussian(aq, c, w))) <= 1e-10
 
 
 def test_rho_act_matches_analytic_shift():
@@ -157,8 +182,7 @@ def test_pointwise_theorem_negative_control():
 
 def test_restrict_commutes_with_tau():
     sample = small_sample(seed=5, size=4)
-    fibers = tuple(gaussian_fiber(SPEC) for _ in range(4))
-    f = cov.FiberedFunction(sample, fibers)
+    f = cov.FiberedFunction(sample, SPEC, np.stack([gaussian_fiber(SPEC).values] * 4))
     x = np.array([0.3, 0.1])
     subset = (0, 2)
     a = cov.restrict_to_E(cov.tau_act(x, f), subset)
@@ -166,10 +190,16 @@ def test_restrict_commutes_with_tau():
     assert a.max_abs_diff(b) < 1e-13
 
 
+def test_restrict_to_empty_subset_raises():
+    f = cov.FiberedFunction(small_sample(size=2), SPEC1D, np.zeros((2, 64)))
+    with pytest.raises(ValueError):
+        cov.restrict_to_E(f, [])
+
+
 def test_modulus_of_continuity_lipschitz_bound():
     # bounded sample, 1-Lipschitz phi: modulus <= sup |alpha^t T| |x|
     boosts = tuple(make_boost(ST2, 1, r) for r in (0.0, 0.5, 1.0))
-    sample = cov.GroupSample(boosts, bounded_flag=True, bound=float(np.exp(1.0)))
+    sample = cov.GroupSample(boosts)
     alpha = np.array([1.0, 0.0])
     phi = lambda r: np.clip(r, -1.0, 1.0)  # noqa: E731
     xs = [np.array([0.01, 0.0]), np.array([0.1, 0.0])]
@@ -203,9 +233,9 @@ def test_lift_from_sigma_orbit_invariance():
         return GridFunction(spec, np.full((8, 8), c, dtype=complex))
 
     lifted = cov.lift_from_sigma(h, sample, PLANE)
-    base = lifted.fibers[0].values
-    for fib in lifted.fibers:
-        assert np.max(np.abs(fib.values - base)) < 1e-10
+    base = lifted.values[0]
+    for fib in lifted.values:
+        assert np.max(np.abs(fib - base)) < 1e-10
 
 
 def test_index_of_unknown_transform_raises():

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
+from moyalorbit import covariance as cov
 from moyalorbit import grids, star
-from moyalorbit.geometry import SkewForm
+from moyalorbit.geometry import SkewForm, Spacetime, make_boost
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 
@@ -44,3 +45,22 @@ def test_tracer_installs_and_traces_a_star_product():
     assert summary["grids.shift_batch"]["calls"] == 1
     assert tracer.counts["grids.ramp_entries"] == 3 * spec.size
     assert tracer.counts["grids.fft_points"] > 0
+
+
+def test_tracer_traces_the_covariance_spans():
+    tracer_module = load_tracer()
+    spec1d = GridSpec(dim=1, n=16, length=8.0)
+    sample = cov.GroupSample((make_boost(Spacetime(2, (1, -1)), 1, 0.5),))
+    psi = cov.FiberedFunction.from_callable(sample, spec1d, lambda t, r: np.exp(-np.pi * r**2))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        cov.check_phi_equivariance(
+            np.array([1.0, 1.0]), np.array([0.1, -0.2]), psi, GridSpec(dim=2, n=16, length=8.0)
+        )
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["covariance.phi_alpha"]["calls"] == 2
+    assert summary["covariance.tau_act"]["calls"] == 1
+    assert summary["covariance.rho_act"]["calls"] == 1
