@@ -96,9 +96,8 @@ def _read_gaussian(path: Path) -> SeparableGaussian | None:
     data = json.loads(sidecar.read_text())
     if "gaussian" not in data:
         return None
-    return SeparableGaussian(
-        tuple(GaussianFactor(c, w, b) for c, w, b in data["gaussian"])
-    )
+    rows = gridio.json_value([[float]], data["gaussian"], f"{sidecar} gaussian")
+    return SeparableGaussian(tuple(GaussianFactor(c, w, b) for c, w, b in rows))
 
 
 def cmd_star(args) -> int:
@@ -106,7 +105,7 @@ def cmd_star(args) -> int:
     try:
         f, sigma_f = gridio.read_grid(args.f_file)
         g, sigma_g = gridio.read_grid(args.g_file)
-    except (gridio.FormatError, FileNotFoundError) as exc:
+    except (gridio.FormatError, OSError) as exc:  # a missing, unreadable or malformed grid
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if f.spec != g.spec:
@@ -123,6 +122,11 @@ def cmd_star(args) -> int:
     if sigma.dim != f.spec.dim:
         print("error: skew form dimension does not match grids", file=sys.stderr)
         return USAGE_ERROR
+    if args.oracle:  # read before the product, so a bad input costs nothing
+        gaussians = (_read_gaussian(Path(args.f_file)), _read_gaussian(Path(args.g_file)))
+        if None in gaussians:
+            print("error: --oracle needs Gaussian inputs written by `gauss`", file=sys.stderr)
+            return USAGE_ERROR
     t0 = time.perf_counter()
     result = star_product(f, g, sigma)
     elapsed = time.perf_counter() - t0
@@ -135,12 +139,7 @@ def cmd_star(args) -> int:
     if not np.any(sigma.matrix):
         summary["pointwise_defect"] = relative_l2(result, f * g)
     if args.oracle:
-        fg = _read_gaussian(Path(args.f_file))
-        gg = _read_gaussian(Path(args.g_file))
-        if fg is None or gg is None:
-            print("error: --oracle needs Gaussian inputs written by `gauss`", file=sys.stderr)
-            return USAGE_ERROR
-        summary["oracle_defect"] = oracle_defect(result, fg, gg, sigma)
+        summary["oracle_defect"] = oracle_defect(result, *gaussians, sigma)
     _dump_json(out_dir / "star_summary.json", summary)
     print(grid_path)
     return 0

@@ -31,8 +31,6 @@ from moyalorbit.grids import (
 from moyalorbit.star import relative_l2, star_product
 
 MATCH_TOL = 1e-9  # max-entry distance at which GroupSample.index_of matches
-MODULUS_POINTS = 4096
-MODULUS_RADIUS = 20.0
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,6 @@ class GroupSample:
 
     def __len__(self) -> int:
         return len(self.transforms)
-
-    def norm_bound(self) -> float:
-        """max ||T||_2 over the sample, so |alpha(T x)| <= |alpha| norm_bound() |x|."""
-        return max(float(np.linalg.norm(t.matrix, 2)) for t in self.transforms)
 
     def index_of(self, matrix: np.ndarray) -> int:
         for i, t in enumerate(self.transforms):
@@ -147,35 +141,6 @@ def check_gamma_covariance(s: LorentzTransform, x, f: FiberedFunction) -> float:
     return lhs.max_abs_diff(rhs)
 
 
-def restrict_to_E(f: FiberedFunction, subset) -> FiberedFunction:
-    """Restriction to a nonempty subset of fiber indices."""
-    subset = list(subset)
-    sample = GroupSample(tuple(f.sample.transforms[i] for i in subset))
-    return FiberedFunction(sample, f.spec, f.values[subset])
-
-
-def modulus_of_continuity(alpha, phi, sample: GroupSample, xs) -> list:
-    """sup over T in the sample and r of |phi(r - alpha(Tx)) - phi(r)| per x.
-
-    phi is a callable on the real line, sampled at MODULUS_POINTS points of
-    [-MODULUS_RADIUS, MODULUS_RADIUS].  For Lipschitz phi the modulus is
-    <= Lip * |alpha| * sample.norm_bound() * |x|; along an unbounded boost
-    sequence it need not vanish as x -> 0.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    r = np.linspace(-MODULUS_RADIUS, MODULUS_RADIUS, MODULUS_POINTS)
-    base = np.asarray(phi(r))
-    out = []
-    for x in xs:
-        x = np.asarray(x, dtype=float)
-        worst = 0.0
-        for t in sample.transforms:
-            a = float(alpha @ (t.matrix @ x))
-            worst = max(worst, float(np.max(np.abs(phi(r - a) - base))))
-        out.append({"x": x.tolist(), "modulus": worst})
-    return out
-
-
 def fibered_star_product(
     f: FiberedFunction, g: FiberedFunction, sigma0: SkewForm
 ) -> FiberedFunction:
@@ -212,11 +177,3 @@ def check_pointwise_theorem(
         relative_l2(prod.fiber(i), f1.fiber(i) * f2.fiber(i)) for i in range(len(prod.sample))
     )
 
-
-def lift_from_sigma(h, sample: GroupSample, sigma0: SkewForm) -> FiberedFunction:
-    """Fiber T -> h(T sigma0 T^t) for h defined on the sampled orbit points."""
-    fibers = [h(act_on_form(t, sigma0)) for t in sample.transforms]
-    spec = fibers[0].spec
-    if any(f.spec != spec for f in fibers):
-        raise ValueError("fibers must share one GridSpec")
-    return FiberedFunction(sample, spec, np.stack([f.values for f in fibers]))

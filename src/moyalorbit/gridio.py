@@ -1,4 +1,4 @@
-"""Grid binary format and JSON serialization helpers.
+"""Grid binary format and JSON input helpers.
 
 The .moya format: a 16-byte header (magic "MOYA", u8 version, u8 dim,
 u16 N, f32 L, 4 pad bytes, all little-endian) followed by N^d complex
@@ -23,7 +23,19 @@ _HEADER = "<4sBBHf4x"  # magic, version, dim, N, L, pad
 
 
 class FormatError(ValueError):
-    """Raised on a malformed .moya file or mismatched sidecar."""
+    """Raised on a malformed .moya file, a mismatched sidecar or a mistyped JSON value."""
+
+
+def json_value(kind, value, key: str):
+    """A JSON value as kind (int, float, dict, or [kind] for a list); else FormatError.
+
+    A bool is never a number, and an int is a float.
+    """
+    if isinstance(kind, list):
+        return tuple(json_value(kind[0], v, key) for v in json_value(list, value, key))
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise FormatError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def write_grid(path, f: GridFunction, sigma: SkewForm | None = None) -> None:
@@ -60,16 +72,16 @@ def read_grid(path) -> tuple:
     sigma = None
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
-        theta = float(sidecar.get("theta", 1.0))
+        sidecar = json_value(dict, json.loads(sidecar_path.read_text()), "sidecar")
+        theta = json_value(float, sidecar.get("theta", 1.0), "sidecar theta")
         for key, value in (("dim", dim), ("n", n)):
-            if sidecar.get(key, value) != value:
+            if json_value(int, sidecar.get(key, value), f"sidecar {key}") != value:
                 raise FormatError(f"sidecar {key} {sidecar[key]} disagrees with header {value}")
         if "sigma" in sidecar:
-            sigma = SkewForm(np.asarray(sidecar["sigma"]))
+            sigma = SkewForm(np.asarray(json_value([[float]], sidecar["sigma"], "sidecar sigma")))
         if "length" in sidecar:
             # the header holds L as f32; the sidecar holds it exactly
-            exact = float(sidecar["length"])
+            exact = json_value(float, sidecar["length"], "sidecar length")
             if np.float32(exact) != np.float32(length):
                 raise FormatError(f"sidecar length {exact} disagrees with header {length}")
             length = exact

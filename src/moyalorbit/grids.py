@@ -194,20 +194,6 @@ def shift(f: GridFunction, s) -> GridFunction:
     return GridFunction(spec, shift_batch(forward_array(f.values, spec), spec, shifts)[0])
 
 
-def plane_waves(spec: GridSpec, index: np.ndarray) -> np.ndarray:
-    """e(x.p) on the grid for a batch of dual nodes p.
-
-    index: integer positions of the nodes in the row-major spec.dual_nodes().
-    Returns (m,) + (N,)*dim.
-    """
-    return separable_waves(spec.dual_nodes()[index], spec.axis())
-
-
-def modulation(spec: GridSpec, alpha) -> np.ndarray:
-    """Plane-wave values e(x.alpha) on the grid."""
-    return separable_waves([alpha], spec.axis())[0]
-
-
 def spectral_gradient(f: GridFunction) -> list:
     """Per-axis spectral derivatives [df/dx_1, ...] as GridFunctions."""
     spec = f.spec

@@ -10,8 +10,8 @@ matrix is assembled in closed form,
 
     M[x, y] = N^-d sum_k f(x - theta sigma k) e((x - y).k),
 
-via one batch of band-limited shifts times the plane waves of
-grids.plane_waves and one FFT over the dual index.
+via one batch of band-limited shifts times a grids.separable_waves table of
+the plane waves e(x.k) and one FFT over the dual index.
 
 On the plane, sigma = s J, the Weyl unitary u_alpha modulates by alpha and
 translates by theta sigma alpha, which is c (alpha_2, -alpha_1) grid steps for
@@ -34,7 +34,7 @@ from moyalorbit.grids import (
     GridFunction,
     GridSpec,
     forward_array,
-    plane_waves,
+    separable_waves,
     shift_batch,
     unitary_dft,
 )
@@ -75,7 +75,7 @@ def build_left_regular_matrix(f: GridFunction, sigma: SkewForm) -> OperatorMatri
     # B[k, x] = f(x - theta sigma k) e(x.k)
     shifts = -spec.theta * (sigma.matrix @ nodes.T).T
     b = shift_batch(forward_array(f.values, spec), spec, shifts)
-    b *= plane_waves(spec, np.arange(m))
+    b *= separable_waves(nodes, spec.axis())
     # sum_k B[k, x] e(-y.k): centered forward transform over the k axes
     b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)
     mtx = forward_array(b, spec).reshape(m, m) / spec.size

@@ -109,6 +109,8 @@ def star_oracle_point(
     cf, wf, bf = np.array([[a.center, a.width, a.freq] for a in f.factors]).T
     cg, wg, bg = np.array([[a.center, a.width, a.freq] for a in g.factors]).T
     q = np.asarray(q, dtype=float)
+    if not f.dim == g.dim == sigma.dim == q.shape[-1]:  # else the arrays broadcast silently
+        raise ValueError(f"dims differ: f {f.dim}, g {g.dim}, sigma {sigma.dim}, q {q.shape[-1]}")
     s = theta * sigma.matrix
     a = 1.0 / wf**2
     m = s.T @ (a[:, None] * s) + np.diag(wg**2)

@@ -37,7 +37,6 @@ from moyalorbit.grids import (
     fft_forward,
     forward_array,
     inverse_array,
-    modulation,
     separable_waves,
     shift,
     spectral_gradient,
@@ -96,7 +95,7 @@ def weyl_action(alpha, f: GridFunction, sigma: SkewForm) -> GridFunction:
     alpha = np.asarray(alpha, dtype=float)
     spec = f.spec
     shifted = shift(f, spec.theta * (sigma.matrix @ alpha))
-    return GridFunction(spec, modulation(spec, alpha) * shifted.values)
+    return GridFunction(spec, separable_waves([alpha], spec.axis())[0] * shifted.values)
 
 
 def star_commutator(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunction:

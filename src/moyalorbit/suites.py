@@ -18,7 +18,6 @@ from moyalorbit import weyl
 from moyalorbit.geometry import (
     SkewForm,
     Spacetime,
-    act_on_form,
     parity,
     q_form,
     random_lorentz,
@@ -26,15 +25,11 @@ from moyalorbit.geometry import (
     standard_skew,
     time_reversal,
 )
+from moyalorbit.gridio import json_value
 from moyalorbit.grids import GridSpec
 from moyalorbit.operators import build_left_regular_matrix, heisenberg_blocks, twist
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
-from moyalorbit.star import (
-    involution,
-    relative_l2,
-    semiclassical_sweep,
-    star_product,
-)
+from moyalorbit.star import involution, semiclassical_sweep, star_product
 
 SUITE_NAMES = ("weyl", "equivariance", "cstar", "semiclassical")
 
@@ -73,32 +68,34 @@ class RunConfig:
     _GRID_KNOWN = {"n", "length", "theta"}
 
     def __post_init__(self):
-        # GridSpec holds the grid rules: an invalid grid fails at load, for every command
+        # GridSpec, Spacetime and SkewForm hold the rules: a bad config fails at load
         GridSpec(dim=1, n=self.n, length=self.length, theta=self.theta)
+        if self.base_form().dim != self.spacetime().dim:
+            raise ValueError(f"sigma0 must be {self.dim}x{self.dim}, got {self.base_form().dim}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(_as(dict, data, "(top level)")) - cls._KNOWN
+        unknown = set(json_value(dict, data, "config")) - cls._KNOWN
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        grid = _as(dict, data.get("grid", {}), "grid")
+        grid = json_value(dict, data.get("grid", {}), "grid")
         unknown = set(grid) - cls._GRID_KNOWN
         if unknown:
             raise ValueError(f"unknown grid keys: {sorted(unknown)}")
         kwargs = {}
         if "dim" in data:
-            kwargs["dim"] = _as(int, data["dim"], "dim")
+            kwargs["dim"] = json_value(int, data["dim"], "dim")
         if "metric" in data:
-            kwargs["metric"] = _as([int], data["metric"], "metric")
+            kwargs["metric"] = json_value([int], data["metric"], "metric")
         elif "dim" in data:
             kwargs["metric"] = tuple([1] + [-1] * (kwargs["dim"] - 1))
         if data.get("sigma0") is not None:
-            kwargs["sigma0"] = _as([[float]], data["sigma0"], "sigma0")
+            kwargs["sigma0"] = json_value([[float]], data["sigma0"], "sigma0")
         for key, kind in (("n", int), ("length", float), ("theta", float)):
             if key in grid:
-                kwargs[key] = _as(kind, grid[key], f"grid.{key}")
+                kwargs[key] = json_value(kind, grid[key], f"grid.{key}")
         if "seed" in data:
-            kwargs["seed"] = _as(int, data["seed"], "seed")
+            kwargs["seed"] = json_value(int, data["seed"], "seed")
         return cls(**kwargs)
 
     def spacetime(self) -> Spacetime:
@@ -110,15 +107,6 @@ class RunConfig:
             form.assert_invertible()
             return form
         return standard_skew(self.spacetime())
-
-
-def _as(kind, value, key: str):
-    """A config value as kind (int, float, dict, or [kind] for a list); else ValueError."""
-    if isinstance(kind, list):
-        return tuple(_as(kind[0], v, key) for v in _as(list, value, key))
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"config value {key} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
 
 
 def _check(name: str, value: float, tol, mode: str = "le") -> dict:

@@ -8,8 +8,6 @@ quantized to integer multiples of 2^-32 so key arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from moyalorbit.geometry import SkewForm, q_form
@@ -20,17 +18,6 @@ KEY_QUANTUM = 2.0**-32
 def e(t: float) -> complex:
     """e(t) = exp(2 pi i t)."""
     return complex(np.exp(2j * np.pi * t))
-
-
-@dataclass(frozen=True)
-class Phase:
-    """A unit-modulus complex number."""
-
-    value: complex
-
-    def __post_init__(self):
-        if abs(abs(self.value) - 1.0) > 1e-14:
-            raise ValueError("phase must have unit modulus")
 
 
 def covector_key(alpha) -> tuple:
@@ -78,36 +65,12 @@ class WeylElement:
             terms[k] = terms.get(k, 0.0) + c
         return WeylElement(terms, self.sigma)
 
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + other.scaled(-1.0)
-
     def scaled(self, c: complex) -> "WeylElement":
         return WeylElement({k: c * v for k, v in self.terms.items()}, self.sigma)
 
     def _check_context(self, other: "WeylElement") -> None:
         if not np.array_equal(self.sigma.matrix, other.sigma.matrix):
             raise ValueError("elements live over different skew forms")
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma.to_json(),
-            "terms": [
-                {
-                    "alpha": key_to_covector(k).tolist(),
-                    "re": c.real,
-                    "im": c.imag,
-                }
-                for k, c in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WeylElement":
-        sigma = SkewForm(np.asarray(data["sigma"]))
-        terms = {}
-        for t in data["terms"]:
-            terms[covector_key(t["alpha"])] = complex(t["re"], t["im"])
-        return cls(terms, sigma)
 
     def __repr__(self) -> str:
         return f"WeylElement({len(self.terms)} terms, dim={self.dim})"
@@ -147,16 +110,3 @@ def star(a: WeylElement) -> WeylElement:
         {tuple(-x for x in k): np.conj(c) for k, c in a.terms.items()}, a.sigma
     )
 
-
-def commutator_phase(alpha, beta, sigma: SkewForm) -> Phase:
-    """Group-commutator phase u_a u_b u_a^-1 u_b^-1 = e(2 Q_ab)."""
-    return Phase(e(2.0 * q_form(sigma, np.asarray(alpha, float), np.asarray(beta, float))))
-
-
-def eval_function(a: WeylElement, q) -> complex:
-    """Evaluate the element as a function: sum of c * e(alpha . q)."""
-    q = np.asarray(q, dtype=float)
-    total = 0.0 + 0.0j
-    for k, c in a.terms.items():
-        total += c * e(float(key_to_covector(k) @ q))
-    return total

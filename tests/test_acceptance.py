@@ -27,7 +27,6 @@ from moyalorbit.geometry import (
     orbit_invariants,
     q_form,
     random_lorentz,
-    sample_orbit,
     standard_skew,
 )
 from moyalorbit.grids import GridFunction, GridSpec

@@ -159,6 +159,62 @@ def test_star_missing_file_is_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        lambda sidecar: {**sidecar, "theta": [1]},
+        lambda sidecar: {**sidecar, "theta": True},  # a bool is not a number
+        lambda sidecar: [sidecar],
+        lambda sidecar: {**sidecar, "gaussian": [[0, "a", 0], [0, 1.2, 0]]},
+        lambda sidecar: {**sidecar, "gaussian": sidecar["gaussian"][:1]},  # one factor at d = 2
+        None,  # a directory in place of the grid file
+    ],
+    ids=["theta-list", "theta-bool", "sidecar-list", "gaussian-string", "gaussian-short", "dir"],
+)
+def test_malformed_grid_input_is_usage_error(tmp_path, capsys, breakage):
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    good, path = tmp_path / "f.moya", tmp_path / "g.moya"
+    for out in (good, path):
+        argv = ["--config", cfg, "gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"]
+        assert main([*argv, "--out", str(out)]) == 0
+    if breakage is None:
+        path = tmp_path / "grid-dir"
+        path.mkdir()
+    else:
+        sidecar = path.with_suffix(".moya.json")
+        sidecar.write_text(json.dumps(breakage(json.loads(sidecar.read_text()))))
+    capsys.readouterr()
+    argv = ["--config", cfg, "star", str(good), str(path), "--oracle"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"grid": {"n": 8}, "sigma0": [[0, 1], [-1, 0]]},  # a 2x2 form at the default d = 4
+        {"dim": 2, "metric": [1, -1, -1, -1]},
+        {"dim": 2, "metric": [1, -1], "sigma0": [[0, 0], [0, 0]]},
+    ],
+)
+def test_config_forms_are_checked_at_load(tmp_path, capsys, cfg):
+    # metric and sigma0 must fit dim, and sigma0 must be invertible, before any command runs
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    for command in (
+        ["gauss", *["--factor=0,1.2,0"] * 4, "--out", str(out / "f.moya")],
+        ["orbit", "-n", "2", "--out", str(out)],
+        ["verify", "--suite", "weyl", "--out", str(out)],
+        ["sweep", "--theta", "1.0,0.5", "--out", str(out)],
+        ["star", str(out / "f.moya"), str(out / "f.moya"), "--out", str(out)],
+    ):
+        assert main(["--config", path, *command]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_verify_weyl_passes_and_is_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -1,15 +1,11 @@
-"""Fibered functions over group samples: actions, equivariance, restriction."""
+"""Fibered functions over group samples: actions, equivariance, the pointwise theorem."""
 
 import numpy as np
 import pytest
 
 from moyalorbit import covariance as cov
 from moyalorbit.geometry import (
-    SkewForm,
     Spacetime,
-    act_on_form,
-    make_boost,
-    orbit_invariants,
     parity,
     random_lorentz,
     standard_skew,
@@ -41,12 +37,6 @@ def small_sample(seed=0, size=3):
     return cov.GroupSample(
         tuple(random_lorentz(ST2, rng, max_word=2) for _ in range(size))
     )
-
-
-def test_group_sample_norm_bound():
-    # a boost of rapidity r has spectral norm e^|r|; the bound is the sample's largest
-    sample = cov.GroupSample(tuple(make_boost(ST2, 1, r) for r in (0.5, -2.0, 1.0)))
-    assert abs(sample.norm_bound() - np.exp(2.0)) < 1e-12
 
 
 def test_fibered_function_rejects_wrong_shape_and_non_finite_values():
@@ -178,64 +168,6 @@ def test_pointwise_theorem_negative_control():
         np.array([1.0, 0.0]), psi1, psi2, PLANE, SPEC, alpha2=np.array([0.0, 1.0])
     )
     assert defect > 1e-2
-
-
-def test_restrict_commutes_with_tau():
-    sample = small_sample(seed=5, size=4)
-    f = cov.FiberedFunction(sample, SPEC, np.stack([gaussian_fiber(SPEC).values] * 4))
-    x = np.array([0.3, 0.1])
-    subset = (0, 2)
-    a = cov.restrict_to_E(cov.tau_act(x, f), subset)
-    b = cov.tau_act(x, cov.restrict_to_E(f, subset))
-    assert a.max_abs_diff(b) < 1e-13
-
-
-def test_restrict_to_empty_subset_raises():
-    f = cov.FiberedFunction(small_sample(size=2), SPEC1D, np.zeros((2, 64)))
-    with pytest.raises(ValueError):
-        cov.restrict_to_E(f, [])
-
-
-def test_modulus_of_continuity_lipschitz_bound():
-    # bounded sample, 1-Lipschitz phi: modulus <= sup |alpha^t T| |x|
-    boosts = tuple(make_boost(ST2, 1, r) for r in (0.0, 0.5, 1.0))
-    sample = cov.GroupSample(boosts)
-    alpha = np.array([1.0, 0.0])
-    phi = lambda r: np.clip(r, -1.0, 1.0)  # noqa: E731
-    xs = [np.array([0.01, 0.0]), np.array([0.1, 0.0])]
-    out = cov.modulus_of_continuity(alpha, phi, sample, xs)
-    for row, x in zip(out, xs):
-        bound = max(
-            abs(alpha @ (t.matrix @ x)) for t in sample.transforms
-        )
-        assert row["modulus"] <= bound + 1e-9
-
-
-def test_modulus_blows_up_along_unbounded_boosts():
-    # for fixed small x the modulus grows without bound along a boost sequence
-    alpha = np.array([1.0, 0.0])
-    phi = lambda r: np.clip(r, -1.0, 1.0)  # noqa: E731
-    x = [np.array([0.01, 0.01])]
-    small = cov.GroupSample((make_boost(ST2, 1, 1.0),))
-    large = cov.GroupSample((make_boost(ST2, 1, 4.0),))
-    m_small = cov.modulus_of_continuity(alpha, phi, small, x)[0]["modulus"]
-    m_large = cov.modulus_of_continuity(alpha, phi, large, x)[0]["modulus"]
-    assert m_large > 10.0 * m_small
-
-
-def test_lift_from_sigma_orbit_invariance():
-    # an invariant of the orbit lifts to a constant fibered function
-    sample = small_sample(seed=6, size=5)
-    spec = GridSpec(dim=2, n=8, length=8.0)
-
-    def h(sigma):
-        c = float(orbit_invariants(sigma, ST2)[0])
-        return GridFunction(spec, np.full((8, 8), c, dtype=complex))
-
-    lifted = cov.lift_from_sigma(h, sample, PLANE)
-    base = lifted.values[0]
-    for fib in lifted.values:
-        assert np.max(np.abs(fib - base)) < 1e-10
 
 
 def test_index_of_unknown_transform_raises():

@@ -12,8 +12,6 @@ from moyalorbit.grids import (
     GridSpec,
     fft_forward,
     fft_inverse,
-    modulation,
-    plane_waves,
     separable_waves,
     shift,
     shift_batch,
@@ -125,14 +123,6 @@ def test_shift_batch_of_stacked_functions_matches_shift_bit_for_bit():
         assert np.array_equal(row, shift(GridFunction(spec, v), s).values)
 
 
-def test_modulation_is_plane_wave():
-    spec = GridSpec(dim=2, n=16, length=8.0)
-    alpha = np.array([0.25, -0.5])
-    x = spec.mesh()
-    expected = np.exp(2j * np.pi * (alpha[0] * x[0] + alpha[1] * x[1]))
-    assert np.max(np.abs(modulation(spec, alpha) - expected)) < 1e-14
-
-
 def test_spectral_gradient_of_gaussian():
     spec = GridSpec(dim=2, n=64, length=8.0)
     f = gaussian_2d(spec)
@@ -170,14 +160,6 @@ def test_norm2_of_gaussian():
     w = 1.3
     f = gaussian_2d(spec, w=w)
     assert abs(f.norm2() - np.sqrt(w**2 / 2.0)) < 1e-9
-
-
-def test_plane_waves_match_modulation():
-    spec = GridSpec(dim=3, n=8, length=6.0)
-    index = np.array([0, 5, 77, 300, spec.size - 1])
-    waves = plane_waves(spec, index)
-    for wave, p in zip(waves, spec.dual_nodes()[index]):
-        assert np.max(np.abs(wave - modulation(spec, p))) < 1e-12
 
 
 FFT_MODULES = ("fft", "fftpack")

@@ -64,19 +64,6 @@ def test_star_is_involutive():
     assert weyl.star(weyl.star(a)) == a
 
 
-def test_commutator_phase():
-    alpha = np.array([0.5, 0.0, 0.25, 0.0])
-    beta = np.array([0.0, 1.0, 0.0, -0.5])
-    phase = weyl.commutator_phase(alpha, beta, SIGMA)
-    expected = weyl.e(2.0 * q_form(SIGMA, alpha, beta))
-    assert abs(phase.value - expected) < 1e-14
-
-
-def test_phase_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        weyl.Phase(0.5 + 0.0j)
-
-
 def test_zero_form_is_commutative():
     zero = SkewForm.zero(4)
     rng = np.random.default_rng(4)
@@ -85,23 +72,10 @@ def test_zero_form_is_commutative():
     assert weyl.mul(a, b).isclose(weyl.mul(b, a), tol=1e-15)
 
 
-def test_eval_function_matches_plane_wave():
-    alpha = np.array([0.5, -0.25, 1.0, 0.0])
-    q = np.array([0.3, 0.7, -1.1, 2.0])
-    val = weyl.eval_function(weyl.unit_u(alpha, SIGMA), q)
-    assert abs(val - weyl.e(float(alpha @ q))) < 1e-14
-
-
 def test_key_quantization_roundtrip():
     alpha = np.array([0.3, -1.7, 0.12345, 2.0])
     back = weyl.key_to_covector(weyl.covector_key(alpha))
     assert np.max(np.abs(back - alpha)) <= weyl.KEY_QUANTUM
-
-
-def test_json_roundtrip():
-    a = weyl.unit_u(np.array([1.5, 0.0, -0.5, 0.25]), SIGMA).scaled(0.3 - 0.4j)
-    b = weyl.WeylElement.from_json(a.to_json())
-    assert a == b
 
 
 def test_context_mismatch_raises():
