@@ -160,6 +160,23 @@ def inverse_array(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     return _centered(np.fft.ifftn, values, axes)
 
 
+def swap_halves(values: np.ndarray) -> np.ndarray:
+    """Swap the two halves of the last axis, a copy.
+
+    N is even on every grid, so this one permutation maps centered index order
+    to np.fft's order and back: _centered applies it on each side of a transform.
+    """
+    return np.fft.fftshift(values, axes=-1)
+
+
+def ifft_last(values: np.ndarray) -> np.ndarray:
+    """Uncentered inverse DFT along the last axis, weighted 1/N as np.fft.ifft.
+
+    inverse_array on a 1-D spec is swap_halves(ifft_last(swap_halves(values))).
+    """
+    return np.fft.ifft(values, axis=-1)
+
+
 def unitary_dft(values: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
     """Unitary, uncentered 1-D DFT along one axis (its inverse if inverse)."""
     transform = np.fft.ifft if inverse else np.fft.fft

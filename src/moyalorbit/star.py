@@ -24,6 +24,11 @@ dual nodes v (f takes R, ghat conj(R)), then the E-E twist, which is 1 at
 d = 2.  1-D transforms along axis a, a fold over k_E + p_E (exact mod N per
 axis on the centered lattice, N even) and one transform over the E axes
 give O(N^{2d-1} log N) work and O(d N^d) exps.
+
+The axis-a transforms are uncentered.  The centering along axis a is a fixed
+permutation (grids.swap_halves) that commutes with the ramps, the twist and
+the fold, so it is applied once to fhat, ghat and R before the batch loop and
+once to the folded sum after it, not twice per batch-sized array.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ from moyalorbit.grids import (
     GridSpec,
     fft_forward,
     forward_array,
+    ifft_last,
     inverse_array,
     separable_waves,
     shift,
     spectral_gradient,
+    swap_halves,
 )
 
 # Entries per batch of the kernel's (k_E, p_E, q_a) arrays; fixed so the
@@ -57,13 +64,13 @@ def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunct
     if spec.dim < 2:
         raise ValueError("star product needs dim >= 2; on a line sigma is zero")
     n, d = spec.n, spec.dim
-    line = GridSpec(dim=1, n=n, length=spec.length)
     plane = GridSpec(dim=d - 1, n=n, length=spec.length)  # the E axes
     p = spec.dual_axis()
     nodes = plane.dual_nodes()  # E-nodes, row-major
-    r = separable_waves(-spec.theta * (nodes @ m[-1, :-1])[:, None], p)  # R[p_E, k_a]
-    fhat = forward_array(f.values, spec).reshape(-1, n)  # unweighted, [k_E, k_a]
-    ghat = fft_forward(g).values.reshape(-1, n)  # carries dx^d, [p_E, p_a]
+    # axis a in np.fft order from here to the end of the loop
+    r = swap_halves(separable_waves(-spec.theta * (nodes @ m[-1, :-1])[:, None], p))  # R[p_E, k_a]
+    fhat = swap_halves(forward_array(f.values, spec).reshape(-1, n))  # unweighted, [k_E, k_a]
+    ghat = swap_halves(fft_forward(g).values.reshape(-1, n))  # carries dx^d, [p_E, p_a]
     # e(q_E.(k_E + p_E)) has period N/L in each k_e + p_e on the grid, so k_E + p_E
     # folds exactly onto the E-node with per-axis index (i_k + i_p - N/2) mod N.
     shape = (n,) * (d - 1)
@@ -76,11 +83,13 @@ def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunct
         twist = separable_waves(-spec.theta * (nodes[kb] @ m[:-1, :-1]), p)
         i_p = (index[:, None] - index[:, kb, None] + n // 2) % n  # [axis e, k_E, j]
         p_of = np.ravel_multi_index(tuple(i_p), shape)  # [k_E, j] -> p_E
-        a = inverse_array(fhat[kb, None, :] * r[None, :, :], line)  # [k_E, p_E, q_a]
-        b = inverse_array(ghat[None, :, :] * r[kb].conj()[:, None, :], line)  # [k_E, p_E, q_a]
-        ab = a * b
-        ab *= twist.reshape(a.shape[:2] + (1,))  # in place: no second batch-sized temporary
-        folded += np.take_along_axis(ab, p_of[:, :, None], axis=1).sum(axis=0)
+        a = ifft_last(fhat[kb, None, :] * r[None, :, :])  # [k_E, p_E, q_a]
+        b = ifft_last(ghat[None, :, :] * r[kb].conj()[:, None, :])  # [k_E, p_E, q_a]
+        a *= b  # in place, a on the left: operand order changes rounding
+        del b
+        a *= twist.reshape(a.shape[:2] + (1,))
+        folded += np.take_along_axis(a, p_of[:, :, None], axis=1).sum(axis=0)
+    folded = swap_halves(folded)  # axis a back in centered order
     out = inverse_array(np.moveaxis(folded.reshape((n,) * d), -1, 0), plane)
     return GridFunction(spec, np.moveaxis(out, 0, -1) * (n * spec.dp**d))
 
@@ -159,13 +168,18 @@ def semiclassical_defects(
 def semiclassical_sweep(
     f: GridFunction, g: GridFunction, sigma: SkewForm, thetas
 ) -> dict:
-    """D1 and D2 across a decreasing theta list, with fitted log-log slopes."""
+    """D1 and D2 across a decreasing theta list, with fitted log-log slopes.
+
+    A theta at which D1 or D2 is not finite raises ValueError.
+    """
     thetas = [float(t) for t in thetas]
     if any(t <= 0 for t in thetas) or any(b >= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("thetas must be positive and strictly decreasing")
     rows = []
     for t in thetas:
         d1, d2 = semiclassical_defects(f, g, sigma, t)
+        if not np.isfinite(d1) or not np.isfinite(d2):  # (1/theta)(f*g - g*f) overflowed
+            raise ValueError(f"D1 = {d1!r}, D2 = {d2!r} at theta = {t!r}: theta is too small")
         rows.append({"theta": t, "d1": d1, "d2": d2})
     if len(rows) >= 2:
         logt = np.log([r["theta"] for r in rows])

@@ -262,6 +262,16 @@ def test_sweep_bad_theta_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_sweep_with_non_finite_defects_is_usage_error(tmp_path, capsys):
+    # at theta = 1e-300 the commutator term (1/theta)(f*g - g*f) overflows
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    out = tmp_path / "out"
+    rc = main(["--config", cfg, "sweep", "--theta", "1.0,1e-300", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "sweep.csv").exists()
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, {"dim": 2, "bogus": 1})
     rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])

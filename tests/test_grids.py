@@ -12,11 +12,14 @@ from moyalorbit.grids import (
     GridSpec,
     fft_forward,
     fft_inverse,
+    forward_array,
+    ifft_last,
+    inverse_array,
     separable_waves,
     shift,
     shift_batch,
-    forward_array,
     spectral_gradient,
+    swap_halves,
 )
 
 
@@ -109,6 +112,19 @@ def test_separable_waves_match_the_full_exponential(d):
     largest = 2 * np.pi * np.max(np.tensordot(np.abs(coeffs), np.abs(x), axes=(1, 0)))
     bound = 4 * np.finfo(float).eps * (d + 2 * largest)
     assert np.max(np.abs(waves - expected)) <= bound
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_uncentered_last_axis_inverse_matches_inverse_array_bit_for_bit(n):
+    # star_product's axis-a route: swap once, transform uncentered, swap back
+    spec = GridSpec(dim=1, n=n, length=8.0)
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=(3, 5, n)) + 1j * rng.normal(size=(3, 5, n))
+    centered = inverse_array(values, spec)
+    assert np.array_equal(swap_halves(ifft_last(swap_halves(values))), centered)
+    assert np.array_equal(swap_halves(swap_halves(values)), values)
+    # the swap takes the centered dual axis to np.fft's order, zero frequency first
+    assert np.array_equal(swap_halves(spec.dual_axis()), np.fft.fftfreq(n, spec.dx))
 
 
 def test_shift_batch_of_stacked_functions_matches_shift_bit_for_bit():

@@ -16,7 +16,15 @@ from moyalorbit.geometry import (
     standard_skew,
     time_reversal,
 )
-from moyalorbit.grids import GridFunction, GridSpec, fft_forward, forward_array, inverse_array
+from moyalorbit import star, weyl
+from moyalorbit.grids import (
+    GridFunction,
+    GridSpec,
+    fft_forward,
+    forward_array,
+    inverse_array,
+    separable_waves,
+)
 from moyalorbit.oracle import (
     GaussianFactor,
     SeparableGaussian,
@@ -398,6 +406,64 @@ def test_block_diagonal_d4_factorizes(s1, s2):
         star_product(f34, g34, PLANE.scaled(s2)).values,
     )
     assert max_rel(out, ref) <= 1e-13
+
+
+def dense_d4_form():
+    """An orbit form T sigma0 T^t at d = 4 with every entry off the diagonal nonzero."""
+    st4 = Spacetime()
+    return sample_orbit(st4, 3, 7, standard_skew(st4))[2][1]
+
+
+@pytest.mark.parametrize("d, rows", [(3, 3), (4, 5)])
+def test_batches_with_a_short_last_batch_match_reference_kernel(d, rows, monkeypatch):
+    # 64 or 512 E-nodes in batches of 3 or 5 rows: a short final batch, off
+    # the one-batch (d = 2, 3) and whole-batch (d = 4) paths at the default size
+    spec = GridSpec(dim=d, n=8, length=8.0, theta=1.0)
+    if d == 3:
+        m = np.random.default_rng(11).normal(size=(3, 3))
+        sigma = SkewForm(m - m.T)
+    else:
+        sigma = dense_d4_form()
+    assert (spec.n ** (d - 1)) % rows != 0
+    monkeypatch.setattr(star, "_BATCH_ENTRIES", rows * spec.size)
+    f = random_grid(spec, 1)
+    g = random_grid(spec, 2)
+    out = star_product(f, g, sigma).values
+    assert max_rel(out, reference_star_product(f, g, sigma)) <= 1e-13
+
+
+def trig_polynomial(rng, spec, form, terms=6):
+    """sum_i c_i u_{alpha_i} at the form theta sigma, alpha_i on the dual
+    lattice with indices in [-N/4, N/4), so every alpha + beta stays in band."""
+    element = weyl.WeylElement({}, form)
+    for _ in range(terms):
+        alpha = rng.integers(-spec.n // 4, spec.n // 4, size=spec.dim) * spec.dp
+        element = element + weyl.unit_u(alpha, form).scaled(complex(*rng.normal(size=2)))
+    return element
+
+
+def on_grid(element, spec):
+    """q -> sum c_alpha e(alpha.q) on the grid, through one e(.) table."""
+    alphas = np.array([weyl.key_to_covector(k) for k in element.terms])
+    coeffs = np.array(list(element.terms.values()))
+    return GridFunction(spec, np.tensordot(coeffs, separable_waves(alphas, spec.axis()), axes=1))
+
+
+def test_d4_product_equals_exact_twisted_algebra_product():
+    # the grid formula is exact on in-band trigonometric polynomials, so it
+    # must reproduce weyl.mul at theta sigma for a dense orbit form
+    sigma = dense_d4_form()
+    spec = GridSpec(dim=4, n=8, length=8.0, theta=1.0)
+    form = sigma.scaled(spec.theta)
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        a = trig_polynomial(rng, spec, form)
+        b = trig_polynomial(rng, spec, form)
+        exact = on_grid(weyl.mul(a, b), spec).values
+        f, g = on_grid(a, spec), on_grid(b, spec)
+        assert max_rel(star_product(f, g, sigma).values, exact) <= 1e-13
+        # negative control: the reversed form conjugates every twist phase
+        assert max_rel(star_product(f, g, sigma.scaled(-1.0)).values, exact) > 0.1
 
 
 def test_line_star_product_is_rejected():
