@@ -119,11 +119,18 @@ def phi_alpha(alpha, psi: FiberedFunction, grid: GridSpec) -> FiberedFunction:
         raise ValueError("psi must be a line function (a one-dimensional grid)")
     if grid.length != spec1d.length:
         raise ValueError("grid and line function box lengths must agree")
+    alpha = np.asarray(alpha, dtype=float)
+    if grid.dim < 2 or alpha.shape != (grid.dim,):
+        raise ValueError(f"alpha must be a covector of length grid.dim >= 2, got {alpha.shape}")
+    p = spec1d.dual_axis()
     coeffs = forward_array(psi.values, spec1d) * spec1d.dx  # (n_fibers, N)
-    # e(alpha(q) p) = prod_a e(p alpha_a q_a): one table [p, q] for every fiber
-    waves = separable_waves(np.outer(spec1d.dual_axis(), alpha), grid.axis())
-    values = np.tensordot(coeffs, waves, axes=(1, 0)) * spec1d.dp
-    return FiberedFunction(psi.sample, grid, values)
+    # e(alpha(q) p) = e(p alpha_head.q_head) e(p alpha_d q_d): one table over the
+    # leading axes and one over the last, so each fiber is head^T diag(coeffs) last
+    head = separable_waves(np.outer(p, alpha[:-1]), grid.axis()).reshape(len(p), -1)
+    last = separable_waves(np.outer(p, alpha[-1:]), grid.axis())
+    values = (head.T * coeffs[:, None, :]) @ last * spec1d.dp
+    shape = (len(coeffs),) + (grid.n,) * grid.dim
+    return FiberedFunction(psi.sample, grid, values.reshape(shape))
 
 
 def check_phi_equivariance(alpha, x, psi: FiberedFunction, grid: GridSpec) -> float:

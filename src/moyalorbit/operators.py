@@ -20,7 +20,8 @@ alpha on the dual lattice and the twist c = theta s N / L^2.  At closed twist
 shift of the frequency index a_1 and leaves the class r = (x_2 - c a_1) mod N
 of every row and column fixed.  So (F x I) L_f (F x I)^H is block diagonal:
 N blocks B_r of side N, indexed by a_1, whose singular values, products,
-adjoints and spectra are those of L_f (heisenberg_blocks).
+adjoints and spectra are those of L_f.  heisenberg_blocks reads them off the
+dense matrix; left_regular_blocks builds them from f in O(N^3).
 """
 
 from __future__ import annotations
@@ -89,6 +90,14 @@ def twist(spec: GridSpec, sigma: SkewForm) -> float:
     return spec.theta * float(sigma.matrix[0, 1]) * spec.n / spec.length**2
 
 
+def _closed_twist(spec: GridSpec, sigma: SkewForm) -> int:
+    """The twist c as an integer; ValueError when it is open."""
+    c = twist(spec, sigma)
+    if abs(c - round(c)) > 1e-9:
+        raise ValueError(f"open twist c = {c}: L_f has no block structure")
+    return round(c)
+
+
 def heisenberg_blocks(op: OperatorMatrix) -> tuple:
     """The N blocks of L_f at closed twist, and the off-block share.
 
@@ -98,14 +107,12 @@ def heisenberg_blocks(op: OperatorMatrix) -> tuple:
     axis; defect is the Frobenius share of that matrix outside the blocks.
     Raises ValueError when the twist c is not an integer.
     """
-    c = twist(op.spec, op.sigma)
-    if abs(c - round(c)) > 1e-9:
-        raise ValueError(f"open twist c = {c}: L_f has no block structure")
+    c = _closed_twist(op.spec, op.sigma)
     n = op.spec.n
     b = unitary_dft(op.matrix.reshape(n, n, n, n), axis=0, inverse=False)
     b = unitary_dft(b, axis=2, inverse=True)
     a = np.arange(n)
-    x2 = (a[:, None] + round(c) * a[None, :]) % n  # [r, a_1]
+    x2 = (a[:, None] + c * a[None, :]) % n  # [r, a_1]
     index = (a[None, :, None], x2[:, :, None], a[None, None, :], x2[:, None, :])
     blocks = b[index]
     # pairwise sums, not a BLAS dot, so the share does not depend on threads
@@ -113,6 +120,31 @@ def heisenberg_blocks(op: OperatorMatrix) -> tuple:
     b[index] = 0.0
     defect = float(np.sqrt(np.sum(np.abs(b) ** 2) / total)) if total else 0.0
     return blocks, defect
+
+
+def left_regular_blocks(h: GridFunction, sigma: SkewForm) -> np.ndarray:
+    """heisenberg_blocks(build_left_regular_matrix(h, sigma))[0], built from h alone.
+
+    After the unitary DFT on the first axis, u_alpha (alpha = p_m) moves the
+    frequency index b to b + m_1' and x_2 by c m_1', with a phase
+    e(m_2' (x_2 + c b) / N) up to centering.  Summed against hhat over m_2,
+    that phase undoes the transform on the second axis, so with G the centered
+    unweighted transform of h on the first axis alone
+
+        blocks[r, a, b] = (-1)^(a + b) G[(a - b + N/2) mod N, (r + c (a + b)) mod N] / N.
+
+    O(N^3) work and memory, no N^2 x N^2 matrix.  Raises ValueError when the
+    twist is open.
+    """
+    c = _closed_twist(h.spec, sigma)
+    n = h.spec.n
+    line = GridSpec(dim=1, n=n, length=h.spec.length, theta=h.spec.theta)
+    g = forward_array(h.values.T, line).T  # [m_1, x_2]
+    a = np.arange(n)
+    ab = a[:, None] + a[None, :]
+    m1 = (a[:, None] - a[None, :] + n // 2) % n  # [a, b]
+    x2 = (a[:, None, None] + c * ab) % n  # [r, a, b]
+    return g[m1, x2] * ((-1.0) ** ab / n)
 
 
 def apply_operator(op: OperatorMatrix, eta: GridFunction) -> GridFunction:

@@ -27,7 +27,12 @@ from moyalorbit.geometry import (
 )
 from moyalorbit.gridio import json_value
 from moyalorbit.grids import GridSpec
-from moyalorbit.operators import build_left_regular_matrix, heisenberg_blocks, twist
+from moyalorbit.operators import (
+    build_left_regular_matrix,
+    heisenberg_blocks,
+    left_regular_blocks,
+    twist,
+)
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 from moyalorbit.star import involution, semiclassical_sweep, star_product
 
@@ -39,7 +44,8 @@ TOLERANCES = {
     "weyl_assoc": 1e-12,
     "phi_equivariance": 1e-9,
     "gamma_covariance": 1e-9,
-    "block_structure": 1e-12,  # largest off-block share of a blocked L_h
+    "block_structure": 1e-12,  # off-block share of the dense L_f
+    "dense_blocks": 1e-12,  # relative max-abs gap, dense vs direct blocks of L_f
     "hom_defect": 1e-3,
     "adjoint_defect": 1e-6,
     "cstar_defect": 0.05,
@@ -248,10 +254,11 @@ def suite_cstar(cfg: RunConfig) -> dict:
 
     Runs at N = 32 with theta = L^2 / 32, so the twist c = theta N / L^2 is 1
     and the lattice twist closes on the torus; otherwise the finite
-    compression is not a *-representation in operator norm.  Each L_h is
-    built densely once and every quantity is taken from its Heisenberg
-    blocks (operators.heisenberg_blocks); block_structure_defect checks that
-    the dense matrices really are block diagonal.
+    compression is not a *-representation in operator norm.  Every quantity
+    is taken from the Heisenberg blocks of each L_h, built straight from h
+    (operators.left_regular_blocks).  One dense L_f is the spot check:
+    block_structure_defect is its off-block share, and dense_blocks_match the
+    relative max-abs gap between its blocks and the direct ones.
     """
     sigma = _plane_form()
     n = 32
@@ -266,14 +273,13 @@ def suite_cstar(cfg: RunConfig) -> dict:
         (GaussianFactor(-0.3, 1.4, 0.05), GaussianFactor(0.1, 1.5))
     ).sample(spec)
     fs = involution(f)
-    # one dense build per operator, each dropped as soon as it is blocked
-    blocks, off_block = zip(
-        *(
-            heisenberg_blocks(build_left_regular_matrix(h, sigma))
-            for h in (f, g, star_product(f, g, sigma), fs, star_product(fs, f, sigma))
-        )
+    # the dense spot check first, while no other blocks are held
+    dense, off_block = heisenberg_blocks(build_left_regular_matrix(f, sigma))
+    bf, bg, bfg, bfs, bfsf = (
+        left_regular_blocks(h, sigma)
+        for h in (f, g, star_product(f, g, sigma), fs, star_product(fs, f, sigma))
     )
-    bf, bg, bfg, bfs, bfsf = blocks
+    dense_gap = float(np.max(np.abs(dense - bf)) / np.max(np.abs(dense)))
     norm_f = _block_norm(bf)
     norm_g = _block_norm(bg)
     norm_fsf = _block_norm(bfsf)
@@ -282,7 +288,8 @@ def suite_cstar(cfg: RunConfig) -> dict:
     cstar = abs(norm_fsf - norm_f**2) / norm_f**2
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (bfsf + _adjoint(bfsf)))))
     checks = [
-        _check("block_structure_defect", max(off_block), TOLERANCES["block_structure"]),
+        _check("block_structure_defect", off_block, TOLERANCES["block_structure"]),
+        _check("dense_blocks_match", dense_gap, TOLERANCES["dense_blocks"]),
         _check("homomorphism_defect", hom, TOLERANCES["hom_defect"]),
         _check("adjoint_defect", adj, TOLERANCES["adjoint_defect"]),
         _check("cstar_identity_defect", cstar, TOLERANCES["cstar_defect"]),

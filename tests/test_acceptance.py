@@ -236,6 +236,12 @@ def test_criterion_10_deterministic_outputs(tmp_path):
         blobs.append((out / "orbit.json").read_bytes())
     rep1 = json.dumps(suite_weyl(CFG), sort_keys=True)
     rep2 = json.dumps(suite_weyl(CFG), sort_keys=True)
-    ok = blobs[0] == blobs[1] and rep1 == rep2
+    # the verify-all benchmark fails any op whose report bytes differ
+    reports = []
+    for sub in ("c", "d"):
+        out = tmp_path / sub
+        assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+        reports.append((out / "verify_all.json").read_bytes())
+    ok = blobs[0] == blobs[1] and rep1 == rep2 and reports[0] == reports[1]
     report_line("deterministic outputs", float(not ok), 0.5, ok)
     assert ok

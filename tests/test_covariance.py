@@ -11,7 +11,7 @@ from moyalorbit.geometry import (
     standard_skew,
     time_reversal,
 )
-from moyalorbit.grids import GridFunction, GridSpec, shift
+from moyalorbit.grids import GridFunction, GridSpec, forward_array, separable_waves, shift
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 
 ST2 = Spacetime(2, (1, -1))
@@ -136,6 +136,39 @@ def test_phi_alpha_matches_closed_form(alpha):
     aq = np.tensordot(np.array(alpha), SPEC.mesh(), axes=(0, 0))
     for fib, c in zip(out.values, centers):
         assert np.max(np.abs(fib - periodic_gaussian(aq, c, w))) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [(1.0,), (1.0, 0.0, 1.0)])
+def test_phi_alpha_rejects_an_alpha_that_does_not_fit_the_grid(alpha):
+    psi = line_gaussian(small_sample(size=2))
+    with pytest.raises(ValueError, match="alpha"):
+        cov.phi_alpha(np.array(alpha), psi, SPEC)
+
+
+def phi_alpha_reference(alpha, psi, grid):
+    # Phi^alpha as one N x N^d table e(alpha(q) p) contracted with every fiber
+    spec1d = psi.spec
+    coeffs = forward_array(psi.values, spec1d) * spec1d.dx
+    waves = separable_waves(np.outer(spec1d.dual_axis(), alpha), grid.axis())
+    return np.tensordot(coeffs, waves, axes=(1, 0)) * spec1d.dp
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (1, 1), (1, -1), (0.5, -0.375)])
+def test_phi_alpha_matches_the_full_wave_table(alpha, n):
+    # the suite's four integer covectors and a fractional one, on random
+    # full-band fibers; the per-axis tables only regroup the same sum
+    spec = GridSpec(dim=2, n=n, length=8.0, theta=1.0)
+    spec1d = GridSpec(dim=1, n=n, length=8.0, theta=1.0)
+    rng = np.random.default_rng(n)
+    sample = small_sample(seed=10, size=3)
+    psi = cov.FiberedFunction(
+        sample, spec1d, rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    )
+    alpha = np.array(alpha, dtype=float)
+    ref = phi_alpha_reference(alpha, psi, spec)
+    out = cov.phi_alpha(alpha, psi, spec).values
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_rho_act_matches_analytic_shift():

@@ -14,6 +14,7 @@ from moyalorbit.operators import (
     build_left_regular_matrix,
     cstar_identity_check,
     heisenberg_blocks,
+    left_regular_blocks,
 )
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 from moyalorbit.star import involution, star_product
@@ -116,10 +117,11 @@ def test_operator_matrix_shape_guard():
 
 
 def test_suite_cstar_takes_five_spectral_norms(monkeypatch):
-    # five dense builds (L_f, L_g, L_{f x g}, L_{f*}, L_{f* x f}); the five
+    # one dense build, L_f, the spot check of the direct blocks; the five
     # norms ||L_f||, ||L_g||, ||L_{f* x f}|| and the two defects, and the
-    # positivity spectrum, come from the 32 Heisenberg blocks of side 32:
-    # no SVD, 2-norm or eigvalsh of a 1024 x 1024 matrix
+    # positivity spectrum, come from the 32 Heisenberg blocks of side 32 that
+    # left_regular_blocks builds straight from each h: no SVD, 2-norm or
+    # eigvalsh of a 1024 x 1024 matrix
     side = 32
     calls = {"norm": [], "svd": [], "eigvalsh": [], "build": 0}
 
@@ -141,7 +143,7 @@ def test_suite_cstar_takes_five_spectral_norms(monkeypatch):
     monkeypatch.setattr(suites, "build_left_regular_matrix", counting_build)
     rep = suite_cstar(RunConfig())
     assert rep["pass"]
-    assert calls["build"] == 5
+    assert calls["build"] == 1
     assert calls["norm"] == []
     assert calls["svd"] == [(side, side, side)] * 5
     assert calls["eigvalsh"] == [(side, side, side)]
@@ -174,12 +176,28 @@ def test_heisenberg_blocks_carry_the_spectrum(n, c):
     assert np.max(np.abs(block_sv - dense_sv)) <= 1e-13 * dense_sv[0]
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("c", [-3, -1, 1, 2, 3])
+def test_direct_blocks_match_the_dense_blocks(n, c):
+    # random full-band values, so the Nyquist rows and columns of h count too
+    spec, sigma = twisted(n, c)
+    rng = np.random.default_rng(100 * n + c)
+    h = GridFunction(spec, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    dense = heisenberg_blocks(build_left_regular_matrix(h, sigma))[0]
+    direct = left_regular_blocks(h, sigma)
+    assert direct.shape == (n, n, n)
+    assert np.max(np.abs(direct - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 def test_heisenberg_blocks_reject_open_twist():
-    # the spec of test_open_twist_breaks_representation: theta n / L^2 = 1/4
+    # the spec of test_open_twist_breaks_representation: theta n / L^2 = 1/4;
+    # the dense and the direct block builders alike
     spec = GridSpec(dim=2, n=16, length=8.0, theta=1.0)
     f, _ = gaussians(spec)
     with pytest.raises(ValueError):
         heisenberg_blocks(build_left_regular_matrix(f, PLANE))
+    with pytest.raises(ValueError):
+        left_regular_blocks(f, PLANE)
 
 
 gaussian_factor = st.builds(
@@ -207,11 +225,14 @@ def test_apply_matches_star_product_property(theta, s, factors):
 def test_blockwise_homomorphism_at_integer_twist(c, factors):
     spec, sigma = twisted(16, c)
     f, g = (SeparableGaussian(pair).sample(spec) for pair in factors)
-    bf, bg, bfg = (
-        heisenberg_blocks(build_left_regular_matrix(h, sigma))[0]
-        for h in (f, g, star_product(f, g, sigma))
-    )
-    assert block_norm(bfg - bf @ bg) <= 1e-11 * block_norm(bf) * block_norm(bg)
+    fg = star_product(f, g, sigma)
+    # every example runs both block builders: blocks of the dense matrix, and direct
+    for blocks_of in (
+        lambda h: heisenberg_blocks(build_left_regular_matrix(h, sigma))[0],
+        lambda h: left_regular_blocks(h, sigma),
+    ):
+        bf, bg, bfg = (blocks_of(h) for h in (f, g, fg))
+        assert block_norm(bfg - bf @ bg) <= 1e-11 * block_norm(bf) * block_norm(bg)
 
 
 @pytest.mark.parametrize("length", [6.0, 10.0, 16.0])
