@@ -89,27 +89,46 @@ class FiberedFunction:
 
 
 def _shifted(f: FiberedFunction, shifts: np.ndarray) -> FiberedFunction:
-    """Fiber i moved to x -> f_i(x + shifts[i]): one transform and one ramp batch."""
-    values = shift_batch(forward_array(f.values, f.spec), f.spec, shifts)
-    return FiberedFunction(f.sample, f.spec, values)
+    """Fiber i moved to x -> f_i(x + shifts[i]): one shift_batch call."""
+    return FiberedFunction(f.sample, f.spec, shift_batch(f.values, f.spec, shifts))
+
+
+def _points(x, f: FiberedFunction) -> np.ndarray:
+    """x as one point per fiber, shape (len(f.sample), k); a single point serves every fiber."""
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(x, (len(f.sample),) + x.shape[-1:])
 
 
 def tau_act(x, f: FiberedFunction) -> FiberedFunction:
-    """(tau_x F)(T, q) = F(T, q + T x)."""
-    return _shifted(f, np.stack([t.matrix @ x for t in f.sample.transforms]))
+    """(tau_x F)(T, q) = F(T, q + T x); x is one point, or one point per fiber."""
+    xs = _points(x, f)
+    return _shifted(f, np.stack([t.matrix @ xi for t, xi in zip(f.sample.transforms, xs)]))
 
 
-def gamma_act(s: LorentzTransform, f: FiberedFunction) -> FiberedFunction:
-    """(gamma_S F)(T, q) = F(T S^-1, q); sample must contain each T S^-1."""
+def gamma_act(s: LorentzTransform, f: FiberedFunction, draw_size: int) -> FiberedFunction:
+    """(gamma_S F)(T, q) = F(T S^-1, q).
+
+    The fibers are consecutive draws of draw_size transforms each, and each
+    T S^-1 is looked up in T's own draw, which must contain it: draws may
+    share transforms, so a lookup in the whole stacked sample could pair
+    fibers of different draws.
+    """
     s_inv = s.inverse().matrix
-    order = [f.sample.index_of(t.matrix @ s_inv) for t in f.sample.transforms]
+    transforms = f.sample.transforms
+    order = []
+    for start in range(0, len(transforms), draw_size):
+        draw = GroupSample(transforms[start : start + draw_size])
+        order += [start + draw.index_of(t.matrix @ s_inv) for t in draw.transforms]
     return FiberedFunction(f.sample, f.spec, f.values[order])
 
 
 def rho_act(alpha, x, psi: FiberedFunction) -> FiberedFunction:
-    """(rho_x psi)(T, r) = psi(T, r + alpha(T x)) for a line function psi."""
+    """(rho_x psi)(T, r) = psi(T, r + alpha(T x)) for a line function psi; x as in tau_act."""
     alpha = np.asarray(alpha, dtype=float)
-    return _shifted(psi, np.array([[alpha @ (t.matrix @ x)] for t in psi.sample.transforms]))
+    xs = _points(x, psi)
+    return _shifted(
+        psi, np.array([[alpha @ (t.matrix @ xi)] for t, xi in zip(psi.sample.transforms, xs)])
+    )
 
 
 def phi_alpha(alpha, psi: FiberedFunction, grid: GridSpec) -> FiberedFunction:
@@ -134,17 +153,24 @@ def phi_alpha(alpha, psi: FiberedFunction, grid: GridSpec) -> FiberedFunction:
 
 
 def check_phi_equivariance(alpha, x, psi: FiberedFunction, grid: GridSpec) -> float:
-    """Max-entry defect of Phi^alpha(rho_x psi) = tau_x(Phi^alpha psi)."""
+    """Max-entry defect of Phi^alpha(rho_x psi) = tau_x(Phi^alpha psi); x as in tau_act."""
     lhs = phi_alpha(alpha, rho_act(alpha, x, psi), grid)
     rhs = tau_act(x, phi_alpha(alpha, psi, grid))
     return lhs.max_abs_diff(rhs)
 
 
-def check_gamma_covariance(s: LorentzTransform, x, f: FiberedFunction) -> float:
-    """Max-entry defect of tau_x gamma_S = gamma_S tau_Sx."""
-    x = np.asarray(x, dtype=float)
-    lhs = tau_act(x, gamma_act(s, f))
-    rhs = gamma_act(s, tau_act(s.matrix @ x, f))
+def check_gamma_covariance(
+    s: LorentzTransform, x, f: FiberedFunction, draw_size: int | None = None
+) -> float:
+    """Max-entry defect of tau_x gamma_S = gamma_S tau_Sx.
+
+    x as in tau_act; the fibers are draws of draw_size transforms as in
+    gamma_act (default: one draw of the whole sample).
+    """
+    xs = _points(x, f)
+    draw_size = len(f.sample) if draw_size is None else draw_size
+    lhs = tau_act(xs, gamma_act(s, f, draw_size))
+    rhs = gamma_act(s, tau_act(np.stack([s.matrix @ xi for xi in xs]), f), draw_size)
     return lhs.max_abs_diff(rhs)
 
 

@@ -192,23 +192,28 @@ def separable_waves(coeffs, axis) -> np.ndarray:
     return out
 
 
-def shift_batch(values_hat: np.ndarray, spec: GridSpec, shifts: np.ndarray) -> np.ndarray:
+def shift_batch(values: np.ndarray, spec: GridSpec, shifts: np.ndarray) -> np.ndarray:
     """Shifted copies f(x + s_i) for a batch of shifts.
 
-    values_hat: centered unweighted transform of one f, shape (N,)*dim, or of
-    one f per shift, shape (m,) + (N,)*dim.  shifts: (m, dim).  Returns
-    (m,) + (N,)*dim; the ramp e(s.k) comes from separable_waves.
+    values: spatial values of one f, shape (N,)*dim, or of one f per shift,
+    shape (m,) + (N,)*dim.  shifts: (m, dim).  Returns (m,) + (N,)*dim.  The
+    spectrum stays in np.fft's order between one ifftshift in and one fftshift
+    out; the ramp e(s.k) comes from separable_waves on the dual axis in that order.
     """
-    # named, so numpy cannot reuse it in place as ramp * values_hat, which rounds differently
-    ramp = separable_waves(shifts, spec.dual_axis())
-    return inverse_array(values_hat * ramp, spec)
+    axes = tuple(range(-spec.dim, 0))
+    spectrum = np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes)
+    ramp = separable_waves(shifts, np.fft.ifftshift(spec.dual_axis()))
+    # spectrum * ramp, written over the ramp; ramp * spectrum would round differently
+    np.multiply(spectrum, ramp, out=ramp)
+    del spectrum
+    return np.fft.fftshift(np.fft.ifftn(ramp, axes=axes), axes=axes)
 
 
 def shift(f: GridFunction, s) -> GridFunction:
     """x -> f(x + s) for an arbitrary real shift s: shift_batch with one row."""
     spec = f.spec
     shifts = np.asarray(s, dtype=float).reshape(1, spec.dim)
-    return GridFunction(spec, shift_batch(forward_array(f.values, spec), spec, shifts)[0])
+    return GridFunction(spec, shift_batch(f.values, spec, shifts)[0])
 
 
 def spectral_gradient(f: GridFunction) -> list:

@@ -75,7 +75,7 @@ def build_left_regular_matrix(f: GridFunction, sigma: SkewForm) -> OperatorMatri
     m = spec.size
     # B[k, x] = f(x - theta sigma k) e(x.k)
     shifts = -spec.theta * (sigma.matrix @ nodes.T).T
-    b = shift_batch(forward_array(f.values, spec), spec, shifts)
+    b = shift_batch(f.values, spec, shifts)
     b *= separable_waves(nodes, spec.axis())
     # sum_k B[k, x] e(-y.k): centered forward transform over the k axes
     b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)

@@ -82,7 +82,19 @@ class SeparableGaussian:
         return out
 
     def sample(self, spec: GridSpec) -> GridFunction:
-        return GridFunction.from_callable(spec, self)
+        """self on spec's mesh, one factor per axis.
+
+        Each factor is evaluated on spec.axis() alone (d exps of N points, not
+        of N^d), and the tables are multiplied by broadcasting in __call__'s order.
+        """
+        if self.dim != spec.dim:
+            raise ValueError(f"{self.dim} factors on a grid of dim {spec.dim}")
+        out = 1.0
+        for a, fac in enumerate(self.factors):
+            shape = [1] * spec.dim
+            shape[a] = spec.n
+            out = out * fac(spec.axis()).reshape(shape)
+        return GridFunction(spec, out)
 
 
 def random_gaussian(rng: np.random.Generator, dim: int) -> SeparableGaussian:

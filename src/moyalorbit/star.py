@@ -159,10 +159,13 @@ def semiclassical_defects(
     gt = GridFunction(spec, g.values)
     fg = star_product(ft, gt, sigma)
     gf = star_product(gt, ft, sigma)
-    d1 = (fg - ft * gt).norm2()
-    bracket = poisson_bracket(ft, gt, sigma)
-    resid = (1.0 / theta) * (fg - gf) + (1.0 / (np.pi * 1j)) * bracket
-    return d1, resid.norm2()
+    # a tiny theta overflows a norm to inf, quietly: semiclassical_sweep rejects it
+    with np.errstate(over="ignore"):
+        d1 = (fg - ft * gt).norm2()
+        bracket = poisson_bracket(ft, gt, sigma)
+        resid = (1.0 / theta) * (fg - gf) + (1.0 / (np.pi * 1j)) * bracket
+        d2 = resid.norm2()
+    return d1, d2
 
 
 def semiclassical_sweep(

@@ -55,6 +55,7 @@ TOLERANCES = {
 }
 
 DRAWS = 100  # random draws per check of the weyl and equivariance suites
+STACK_ENTRIES = 2**17  # grid entries per stacked equivariance pass: 32 fibers of 64^2, 2 MiB
 SEMICLASSICAL_THETAS = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
@@ -187,48 +188,69 @@ def suite_weyl(cfg: RunConfig) -> dict:
     return {"suite": "weyl", "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _gaussian_fibers(sample, spec, rng) -> cov.FiberedFunction:
-    fibers = []
-    for _ in range(len(sample)):
-        g = SeparableGaussian(
-            tuple(
-                GaussianFactor(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(1.1, 1.5)))
-                for _ in range(spec.dim)
-            )
+def _random_gaussian(dim: int, rng) -> SeparableGaussian:
+    return SeparableGaussian(
+        tuple(
+            GaussianFactor(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(1.1, 1.5)))
+            for _ in range(dim)
         )
-        fibers.append(g.sample(spec).values)
-    return cov.FiberedFunction(sample, spec, np.stack(fibers))
+    )
+
+
+def _stacked_passes(draws: list, spec: GridSpec):
+    """(key, sample, fiber items, x per fiber) for each stacked pass over draws.
+
+    A draw is (key, transforms, one item per transform, x), and each transform
+    is one fiber on spec.  The draws of each key run in order, in chunks of at
+    most STACK_ENTRIES grid entries.
+    """
+    for key in sorted({d[0] for d in draws}):
+        group = [d for d in draws if d[0] == key]
+        step = max(1, STACK_ENTRIES // (len(group[0][1]) * spec.size))
+        for chunk in (group[i : i + step] for i in range(0, len(group), step)):
+            sample = cov.GroupSample(tuple(t for d in chunk for t in d[1]))
+            items = [item for d in chunk for item in d[2]]
+            yield key, sample, items, [d[3] for d in chunk for _ in d[1]]
 
 
 def suite_equivariance(cfg: RunConfig) -> dict:
-    """Phi^alpha equivariance and tau-gamma covariance at roundoff scale."""
+    """Phi^alpha equivariance and tau-gamma covariance at roundoff scale.
+
+    Every draw is made first, Phi's then gamma's.  The Phi draws of one
+    covector alpha, and the gamma draws of one reflection S, then run as
+    stacked FiberedFunction passes (_stacked_passes).  Each value is the
+    largest defect over the draws, as one pass per draw gives it.
+    """
     st = _plane_spacetime()
     spec = GridSpec(dim=2, n=cfg.n, length=cfg.length, theta=cfg.theta)
     spec1d = GridSpec(dim=1, n=cfg.n, length=cfg.length, theta=cfg.theta)
     rng = np.random.default_rng(cfg.seed + 1)
     int_alphas = [np.array(a, dtype=float) for a in ((1, 0), (0, 1), (1, 1), (1, -1))]
-    worst_phi = 0.0
+    phi_draws = []  # (alpha index, (t1, t2), psi on the line per fiber, x)
     for _ in range(DRAWS):
-        t1 = random_lorentz(st, rng, max_word=2)
-        t2 = random_lorentz(st, rng, max_word=2)
-        sample = cov.GroupSample((t1, t2))
+        transforms = (random_lorentz(st, rng, max_word=2), random_lorentz(st, rng, max_word=2))
         c = float(rng.uniform(-0.3, 0.3))
         w = float(rng.uniform(0.9, 1.3))
-        psi = cov.FiberedFunction.from_callable(
-            sample, spec1d, lambda t, r: np.exp(-np.pi * (r - c) ** 2 / w**2)
-        )
-        alpha = int_alphas[int(rng.integers(len(int_alphas)))]
+        line = np.exp(-np.pi * (spec1d.axis() - c) ** 2 / w**2)
+        alpha = int(rng.integers(len(int_alphas)))
         x = rng.uniform(-0.3, 0.3, 2)
-        worst_phi = max(worst_phi, cov.check_phi_equivariance(alpha, x, psi, spec))
+        phi_draws.append((alpha, transforms, (line, line), x))
     reflections = [parity(st), time_reversal(st)]
-    worst_gamma = 0.0
+    gamma_draws = []  # (reflection index, (t, t S), a Gaussian per fiber, x)
     for _ in range(DRAWS):
         t = random_lorentz(st, rng, max_word=2)
-        s = reflections[int(rng.integers(2))]
-        sample = cov.GroupSample((t, t.compose(s)))
-        f = _gaussian_fibers(sample, spec, rng)
+        k = int(rng.integers(2))
+        gaussians = [_random_gaussian(spec.dim, rng) for _ in range(2)]
         x = rng.uniform(-0.3, 0.3, 2)
-        worst_gamma = max(worst_gamma, cov.check_gamma_covariance(s, x, f))
+        gamma_draws.append((k, (t, t.compose(reflections[k])), gaussians, x))
+    worst_phi = 0.0
+    for alpha, sample, lines, xs in _stacked_passes(phi_draws, spec):
+        psi = cov.FiberedFunction(sample, spec1d, lines)
+        worst_phi = max(worst_phi, cov.check_phi_equivariance(int_alphas[alpha], xs, psi, spec))
+    worst_gamma = 0.0
+    for k, sample, gaussians, xs in _stacked_passes(gamma_draws, spec):
+        f = cov.FiberedFunction(sample, spec, [g.sample(spec).values for g in gaussians])
+        worst_gamma = max(worst_gamma, cov.check_gamma_covariance(reflections[k], xs, f, 2))
     checks = [
         _check("phi_equivariance", worst_phi, TOLERANCES["phi_equivariance"]),
         _check("gamma_covariance", worst_gamma, TOLERANCES["gamma_covariance"]),

@@ -272,6 +272,17 @@ def test_sweep_with_non_finite_defects_is_usage_error(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_overflow_prints_only_the_error_line(tmp_path, capsys):
+    # the overflow to inf is expected and rejected, so numpy must not warn first
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    rc = main(["--config", cfg, "sweep", "--theta", "1.0,1e-300", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta is too small" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, {"dim": 2, "bogus": 1})
     rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])

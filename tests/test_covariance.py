@@ -1,9 +1,12 @@
 """Fibered functions over group samples: actions, equivariance, the pointwise theorem."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from moyalorbit import covariance as cov
+from moyalorbit import suites
 from moyalorbit.geometry import (
     Spacetime,
     parity,
@@ -207,3 +210,87 @@ def test_index_of_unknown_transform_raises():
     sample = small_sample(seed=7, size=2)
     with pytest.raises(KeyError):
         sample.index_of(np.eye(2) * 3.0)
+
+
+def per_draw_equivariance(cfg):
+    """The equivariance suite's values from one pass per draw, in the suite's RNG order."""
+    spec = GridSpec(dim=2, n=cfg.n, length=cfg.length, theta=cfg.theta)
+    spec1d = GridSpec(dim=1, n=cfg.n, length=cfg.length, theta=cfg.theta)
+    rng = np.random.default_rng(cfg.seed + 1)
+    int_alphas = [np.array(a, dtype=float) for a in ((1, 0), (0, 1), (1, 1), (1, -1))]
+    worst_phi = 0.0
+    for _ in range(suites.DRAWS):
+        t1 = random_lorentz(ST2, rng, max_word=2)
+        t2 = random_lorentz(ST2, rng, max_word=2)
+        c = float(rng.uniform(-0.3, 0.3))
+        w = float(rng.uniform(0.9, 1.3))
+        psi = cov.FiberedFunction.from_callable(
+            cov.GroupSample((t1, t2)), spec1d, lambda t, r: np.exp(-np.pi * (r - c) ** 2 / w**2)
+        )
+        alpha = int_alphas[int(rng.integers(len(int_alphas)))]
+        x = rng.uniform(-0.3, 0.3, 2)
+        worst_phi = max(worst_phi, cov.check_phi_equivariance(alpha, x, psi, spec))
+    reflections = [parity(ST2), time_reversal(ST2)]
+    worst_gamma = 0.0
+    for _ in range(suites.DRAWS):
+        t = random_lorentz(ST2, rng, max_word=2)
+        s = reflections[int(rng.integers(2))]
+        fibers = []
+        for _ in range(2):
+            g = SeparableGaussian(
+                tuple(
+                    GaussianFactor(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(1.1, 1.5)))
+                    for _ in range(2)
+                )
+            )
+            fibers.append(GridFunction.from_callable(spec, g).values)
+        f = cov.FiberedFunction(cov.GroupSample((t, t.compose(s))), spec, np.stack(fibers))
+        x = rng.uniform(-0.3, 0.3, 2)
+        worst_gamma = max(worst_gamma, cov.check_gamma_covariance(s, x, f))
+    return worst_phi, worst_gamma
+
+
+@pytest.mark.parametrize("seed", [0, 11, 4001])
+def test_stacked_equivariance_suite_equals_per_draw_passes(seed):
+    cfg = suites.RunConfig(seed=seed)
+    report = suites.suite_equivariance(cfg)
+    values = tuple(check["value"] for check in report["checks"])
+    assert [check["name"] for check in report["checks"]] == ["phi_equivariance", "gamma_covariance"]
+    assert values == per_draw_equivariance(cfg)
+
+
+@pytest.mark.parametrize("s", [parity(ST2), time_reversal(ST2)], ids=["P", "T"])
+def test_stacked_gamma_draws_sharing_a_transform_read_as_per_draw_checks(s):
+    # two draws with t = P stack to the sample (P, P S, P, P S): each T S^-1
+    # must come from T's own draw, not from the first match in the whole sample
+    p = parity(ST2)
+    draw = cov.GroupSample((p, p.compose(s)))
+    rng = np.random.default_rng(9)
+    fibers = np.stack(
+        [gaussian_fiber(SPEC, c=tuple(rng.uniform(-0.2, 0.2, 2))).values for _ in range(4)]
+    )
+    xs = np.array([[0.2, -0.1], [-0.25, 0.15]])
+    draws = [cov.FiberedFunction(draw, SPEC, fibers[2 * i : 2 * i + 2]) for i in range(2)]
+    stacked = cov.FiberedFunction(cov.GroupSample(draw.transforms * 2), SPEC, fibers)
+    x_per_fiber = np.repeat(xs, 2, axis=0)
+    assert np.array_equal(
+        cov.gamma_act(s, stacked, 2).values,
+        np.concatenate([cov.gamma_act(s, f, 2).values for f in draws]),
+    )
+    per_draw = max(cov.check_gamma_covariance(s, x, f) for x, f in zip(xs, draws))
+    assert cov.check_gamma_covariance(s, x_per_fiber, stacked, 2) == per_draw
+    # the lookup over the whole stacked sample pairs the second draw with the first
+    assert cov.check_gamma_covariance(s, x_per_fiber, stacked, 4) > 1e-3
+
+
+def test_equivariance_suite_peak_memory_is_chunked():
+    # all 200 fibers in one stacked pass peak at about 106 MiB
+    cfg = suites.RunConfig()
+    suites.suite_equivariance(cfg)  # first-call set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        suites.suite_equivariance(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20

@@ -140,6 +140,28 @@ def test_gaussian_factor_rejects_bad_parameters(center, width, freq):
         GaussianFactor(center, width, freq)
 
 
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 64), (3, 16), (4, 8)])
+def test_separable_sample_equals_the_full_mesh_evaluation(d, n):
+    # N^d stays under numpy's 256 KiB bar for reusing a temporary; above it
+    # from_callable's out * fac(x) runs in fac(x)'s buffer with the operands
+    # swapped, which rounds differently
+    spec = GridSpec(dim=d, n=n, length=7.0)
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        g = random_gaussian(rng, d)
+        assert np.array_equal(g.sample(spec).values, GridFunction.from_callable(spec, g).values)
+
+
+@pytest.mark.parametrize("d, n", [(2, 128), (3, 32)])
+def test_separable_sample_of_a_large_grid_is_within_one_rounding(d, n):
+    spec = GridSpec(dim=d, n=n, length=7.0)
+    g = random_gaussian(np.random.default_rng(d), d)
+    ref = GridFunction.from_callable(spec, g).values
+    assert max_rel(g.sample(spec).values, ref) <= 2 * np.finfo(float).eps
+    with pytest.raises(ValueError, match="factors"):
+        g.sample(GridSpec(dim=d + 1, n=8))
+
+
 def test_frozen_oracle_point_quadrature():
     val = star_oracle_point(F_GAUSS, G_GAUSS, PLANE, 1.0, (0.5, -0.25))
     assert abs(val - ORACLE_POINT) < 1e-10

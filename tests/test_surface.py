@@ -17,9 +17,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # behind acceptance criteria 2, 4 and 5, and tools the tests build fixtures
 # or references with.  A new entry needs a caller in src/ or perfbench/.
 TEST_ONLY = {
+    "covariance.FiberedFunction.from_callable",
     "covariance.check_pointwise_theorem",
     "geometry.SkewForm.scaled",
     "geometry.SkewForm.zero",
+    "grids.GridFunction.from_callable",
     "operators.apply_operator",
     "oracle.GaussianFactor.hat",
     "star.commutator_constant",
