@@ -10,8 +10,10 @@ matrix is assembled in closed form,
 
     M[x, y] = N^-d sum_k f(x - theta sigma k) e((x - y).k),
 
-via one batch of band-limited shifts times a grids.separable_waves table of
-the plane waves e(x.k) and one FFT over the dual index.
+in slabs: the columns k of one slab are band-limited shifts times a
+grids.separable_waves table of the plane waves e(x.k), and then the rows x
+of one slab are transformed over the dual index in place.  Peak memory is
+the matrix plus one slab of _SLAB_ENTRIES entries per working array.
 
 On the plane, sigma = s J, the Weyl unitary u_alpha modulates by alpha and
 translates by theta sigma alpha, which is c (alpha_2, -alpha_1) grid steps for
@@ -21,7 +23,8 @@ shift of the frequency index a_1 and leaves the class r = (x_2 - c a_1) mod N
 of every row and column fixed.  So (F x I) L_f (F x I)^H is block diagonal:
 N blocks B_r of side N, indexed by a_1, whose singular values, products,
 adjoints and spectra are those of L_f.  heisenberg_blocks reads them off the
-dense matrix; left_regular_blocks builds them from f in O(N^3).
+dense matrix, one slab of rows x_2 at a time; left_regular_blocks builds them
+from f in O(N^3).
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from moyalorbit.grids import (
 from moyalorbit.star import involution, star_product
 
 MAX_SIDE = 4096
+# Entries per slab of the dense build and of the block read-out: the working
+# set beyond the matrix stays bounded, and the sums run in a fixed order.
+_SLAB_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -73,14 +79,21 @@ def build_left_regular_matrix(f: GridFunction, sigma: SkewForm) -> OperatorMatri
         raise ValueError(f"matrix side {spec.size} exceeds {MAX_SIDE}")
     nodes = spec.dual_nodes()  # (M, d), row-major centered order
     m = spec.size
-    # B[k, x] = f(x - theta sigma k) e(x.k)
+    rows = max(1, _SLAB_ENTRIES // m)
     shifts = -spec.theta * (sigma.matrix @ nodes.T).T
-    b = shift_batch(f.values, spec, shifts)
-    b *= separable_waves(nodes, spec.axis())
-    # sum_k B[k, x] e(-y.k): centered forward transform over the k axes
-    b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)
-    mtx = forward_array(b, spec).reshape(m, m) / spec.size
-    return OperatorMatrix(mtx, spec, sigma)
+    out = np.empty((m, m), dtype=complex)
+    # out[x, k] = f(x - theta sigma k) e(x.k), one slab of k at a time
+    for start in range(0, m, rows):
+        kc = slice(start, start + rows)
+        b = shift_batch(f.values, spec, shifts[kc])
+        b *= separable_waves(nodes[kc], spec.axis())
+        out[:, kc] = b.reshape(-1, m).T
+    # sum_k out[x, k] e(-y.k): centered forward transform over the k axes, one slab of x at a time
+    for start in range(0, m, rows):
+        xc = slice(start, start + rows)
+        slab = out[xc].reshape((-1,) + (spec.n,) * spec.dim)
+        out[xc] = forward_array(slab, spec).reshape(-1, m) / m
+    return OperatorMatrix(out, spec, sigma)
 
 
 def twist(spec: GridSpec, sigma: SkewForm) -> float:
@@ -109,16 +122,24 @@ def heisenberg_blocks(op: OperatorMatrix) -> tuple:
     """
     c = _closed_twist(op.spec, op.sigma)
     n = op.spec.n
-    b = unitary_dft(op.matrix.reshape(n, n, n, n), axis=0, inverse=False)
-    b = unitary_dft(b, axis=2, inverse=True)
+    matrix = op.matrix.reshape(n, n, n, n)
     a = np.arange(n)
     x2 = (a[:, None] + c * a[None, :]) % n  # [r, a_1]
-    index = (a[None, :, None], x2[:, :, None], a[None, None, :], x2[:, None, :])
-    blocks = b[index]
-    # pairwise sums, not a BLAS dot, so the share does not depend on threads
-    total = np.sum(np.abs(b) ** 2)
-    b[index] = 0.0
-    defect = float(np.sqrt(np.sum(np.abs(b) ** 2) / total)) if total else 0.0
+    blocks = np.empty((n, n, n), dtype=complex)
+    width = max(1, _SLAB_ENTRIES // n**3)
+    total = off_block = 0.0
+    for start in range(0, n, width):
+        # the rows x_2 in [start, start + width), transformed: per x_1 one contiguous run
+        b = unitary_dft(matrix[:, start : start + width], axis=0, inverse=False)
+        b = unitary_dft(b, axis=2, inverse=True)
+        r, a1 = np.nonzero((x2 >= start) & (x2 < start + width))  # row classes in the slab
+        index = (a1[:, None], x2[r, a1][:, None] - start, a[None, :], x2[r])
+        blocks[r, a1] = b[index]
+        # pairwise sums, not a BLAS dot, so the share does not depend on threads
+        total += np.sum(np.abs(b) ** 2)
+        b[index] = 0.0
+        off_block += np.sum(np.abs(b) ** 2)
+    defect = float(np.sqrt(off_block / total)) if total else 0.0
     return blocks, defect
 
 

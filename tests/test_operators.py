@@ -1,13 +1,23 @@
 """Finite left-regular operator matrices and representation checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moyalorbit import suites
+from moyalorbit import operators, suites
 from moyalorbit.geometry import SkewForm
-from moyalorbit.grids import GridFunction, GridSpec
+from moyalorbit.grids import (
+    GridFunction,
+    GridSpec,
+    forward_array,
+    inverse_array,
+    separable_waves,
+    shift_batch,
+    unitary_dft,
+)
 from moyalorbit.operators import (
     OperatorMatrix,
     apply_operator,
@@ -15,6 +25,7 @@ from moyalorbit.operators import (
     cstar_identity_check,
     heisenberg_blocks,
     left_regular_blocks,
+    twist,
 )
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 from moyalorbit.star import involution, star_product
@@ -27,6 +38,48 @@ def closed_spec(n=16, length=8.0):
     # theta n / L^2 integral, so the lattice twist closes on the torus and
     # the compression is an exact *-representation up to roundoff
     return GridSpec(dim=2, n=n, length=length, theta=length**2 / n)
+
+
+def random_grid(spec, seed):
+    # full-band values, so the Nyquist rows and columns count too
+    rng = np.random.default_rng(seed)
+    shape = (spec.n,) * spec.dim
+    return GridFunction(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def reference_build(f, sigma):
+    """The one-shot dense build: every k in one shift_batch, one whole-matrix transform."""
+    spec = f.spec
+    nodes = spec.dual_nodes()
+    m = spec.size
+    shifts = -spec.theta * (sigma.matrix @ nodes.T).T
+    b = shift_batch(f.values, spec, shifts)
+    b *= separable_waves(nodes, spec.axis())
+    b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)
+    return forward_array(b, spec).reshape(m, m) / spec.size
+
+
+def reference_heisenberg_blocks(op):
+    """The blocks and off-block share, read off the whole transformed matrix at once."""
+    c = round(twist(op.spec, op.sigma))
+    n = op.spec.n
+    b = unitary_dft(op.matrix.reshape(n, n, n, n), axis=0, inverse=False)
+    b = unitary_dft(b, axis=2, inverse=True)
+    a = np.arange(n)
+    x2 = (a[:, None] + c * a[None, :]) % n
+    index = (a[None, :, None], x2[:, :, None], a[None, None, :], x2[:, None, :])
+    blocks = b[index]
+    total = np.sum(np.abs(b) ** 2)
+    b[index] = 0.0
+    return blocks, float(np.sqrt(np.sum(np.abs(b) ** 2) / total))
+
+
+def assert_blocks_match_reference(op):
+    # the blocks are the same entries; the share sums in another order
+    blocks, defect = heisenberg_blocks(op)
+    ref_blocks, ref_defect = reference_heisenberg_blocks(op)
+    assert np.array_equal(blocks, ref_blocks)
+    assert abs(defect - ref_defect) <= 1e-14 * ref_defect
 
 
 def gaussians(spec):
@@ -179,14 +232,56 @@ def test_heisenberg_blocks_carry_the_spectrum(n, c):
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("c", [-3, -1, 1, 2, 3])
 def test_direct_blocks_match_the_dense_blocks(n, c):
-    # random full-band values, so the Nyquist rows and columns of h count too
     spec, sigma = twisted(n, c)
-    rng = np.random.default_rng(100 * n + c)
-    h = GridFunction(spec, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = random_grid(spec, 100 * n + c)
     dense = heisenberg_blocks(build_left_regular_matrix(h, sigma))[0]
     direct = left_regular_blocks(h, sigma)
     assert direct.shape == (n, n, n)
     assert np.max(np.abs(direct - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("s", [1.0, -1.0, 0.0])
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_slabbed_build_matches_the_one_shot_build(n, closed, s):
+    # theta = L^2 / n closes the twist of J; theta = 1 leaves it open at n <= 32
+    spec = closed_spec(n) if closed else GridSpec(dim=2, n=n, length=8.0, theta=1.0)
+    f = random_grid(spec, n)
+    out = build_left_regular_matrix(f, PLANE.scaled(s)).matrix
+    assert np.array_equal(out, reference_build(f, PLANE.scaled(s)))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("c", [-3, -1, 1, 2, 3])
+def test_slabbed_blocks_match_the_whole_matrix_blocks(n, c):
+    spec, sigma = twisted(n, c)
+    assert_blocks_match_reference(build_left_regular_matrix(random_grid(spec, 10 * n + c), sigma))
+
+
+def test_short_last_slab_matches_the_reference(monkeypatch):
+    # 48 k rows per build slab (256 = 5 * 48 + 16) and 3 x_2 rows per block
+    # slab (16 = 5 * 3 + 1): several slabs, the last one short
+    spec, sigma = twisted(16, 2)
+    monkeypatch.setattr(operators, "_SLAB_ENTRIES", 3 * spec.n**3)
+    f = random_grid(spec, 7)
+    op = build_left_regular_matrix(f, sigma)
+    assert np.array_equal(op.matrix, reference_build(f, sigma))
+    assert_blocks_match_reference(op)
+
+
+def test_dense_spot_check_holds_the_matrix_plus_one_slab():
+    # the one-shot build peaked at four matrices, the whole-matrix blocks at three
+    spec = closed_spec(32)
+    f, _ = gaussians(spec)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        heisenberg_blocks(build_left_regular_matrix(f, PLANE))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * spec.size**2 * 16
 
 
 def test_heisenberg_blocks_reject_open_twist():
@@ -233,6 +328,44 @@ def test_blockwise_homomorphism_at_integer_twist(c, factors):
     ):
         bf, bg, bfg = (blocks_of(h) for h in (f, g, fg))
         assert block_norm(bfg - bf @ bg) <= 1e-11 * block_norm(bf) * block_norm(bg)
+
+
+def transposed_form(build, f, sigma):
+    return OperatorMatrix(build(f, SkewForm(sigma.matrix.T)).matrix, f.spec, sigma)
+
+
+def stretched_theta(build, f, sigma):
+    g = GridFunction(f.spec.with_theta(f.spec.theta * (1 + 1e-6)), f.values)
+    return OperatorMatrix(build(g, sigma).matrix, f.spec, sigma)
+
+
+def dropped_nyquist(build, f, sigma):
+    fhat = forward_array(f.values, f.spec)
+    fhat[0] = 0.0  # the first-axis Nyquist row of the centered spectrum
+    return build(GridFunction(f.spec, inverse_array(fhat, f.spec)), sigma)
+
+
+@pytest.mark.parametrize(
+    "mutation, failing",
+    [
+        # values at seed 0: block_structure_defect 0.87, dense_blocks_match 1.0
+        (transposed_form, {"block_structure_defect", "dense_blocks_match"}),
+        # 2.9e-6 and 4.6e-6
+        (stretched_theta, {"block_structure_defect", "dense_blocks_match"}),
+        # the off-block share stays at roundoff; dense_blocks_match 4.3e-11
+        (dropped_nyquist, {"dense_blocks_match"}),
+    ],
+)
+def test_spot_check_fails_on_a_mutated_dense_build(mutation, failing, monkeypatch):
+    # negative controls: a dense L_f built with the wrong form, theta or f,
+    # labelled with the suite's own spec and form, must fail the spot check
+    build = suites.build_left_regular_matrix
+    monkeypatch.setattr(
+        suites, "build_left_regular_matrix", lambda f, sigma: mutation(build, f, sigma)
+    )
+    rep = suite_cstar(RunConfig())
+    assert not rep["pass"]
+    assert {c["name"] for c in rep["checks"] if not c["pass"]} == failing
 
 
 @pytest.mark.parametrize("length", [6.0, 10.0, 16.0])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from moyalorbit import covariance as cov
-from moyalorbit import grids, star
+from moyalorbit import grids, operators, star
 from moyalorbit.geometry import SkewForm, Spacetime, make_boost
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
@@ -64,3 +64,22 @@ def test_tracer_traces_the_covariance_spans():
     assert summary["covariance.phi_alpha"]["calls"] == 2
     assert summary["covariance.tau_act"]["calls"] == 1
     assert summary["covariance.rho_act"]["calls"] == 1
+
+
+def test_tracer_counts_one_slabbed_dense_build(monkeypatch):
+    tracer_module = load_tracer()
+    spec = GridSpec(dim=2, n=16, length=8.0, theta=4.0)
+    side = spec.size
+    # 48 k rows per slab: 6 slabs, the last one short
+    monkeypatch.setattr(operators, "_SLAB_ENTRIES", 48 * side)
+    f = SeparableGaussian((GaussianFactor(0.1, 1.2), GaussianFactor(-0.1, 1.3))).sample(spec)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        operators.build_left_regular_matrix(f, SkewForm(np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["operators.build_left_regular_matrix"]["calls"] == 1
+    assert tracer.counts["operators.matrix_bytes"] == side**2 * 16
+    # every k shifted exactly once across the slabs
+    assert tracer.counts["grids.ramp_entries"] == side * spec.size
