@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from moyalorbit import gridio
-from moyalorbit.geometry import Spacetime, orbit_invariants, sample_orbit, standard_skew
+from moyalorbit.geometry import orbit_invariants, sample_orbit
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
 from moyalorbit.star import relative_l2, semiclassical_sweep, star_product
-from moyalorbit.suites import SUITE_NAMES, RunConfig, run_suite, semiclassical_pair
+from moyalorbit.suites import PLANE_FORM, SUITES, RunConfig, run_suite, semiclassical_pair
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.suite not in SUITE_NAMES + ("all",):
+    if args.suite not in (*SUITES, "all"):
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return USAGE_ERROR
     report = run_suite(args.suite, cfg)
@@ -167,7 +167,7 @@ def cmd_sweep(args) -> int:
         print("error: --theta must be a comma-separated float list", file=sys.stderr)
         return USAGE_ERROR
     f, g = semiclassical_pair(cfg)
-    result = semiclassical_sweep(f, g, standard_skew(Spacetime(2, (1, -1))), thetas)
+    result = semiclassical_sweep(f, g, PLANE_FORM, thetas)
     out = Path(args.out) / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["theta,d1,d2,slope_d1,slope_d2"]

@@ -29,8 +29,11 @@ class GridSpec:
             raise ValueError("dim must be >= 1")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of 2 and >= 8")
-        if not 0 < self.length < np.inf:  # also false for NaN
-            raise ValueError(f"length must be positive and finite, got {self.length}")
+        top = float(np.finfo(np.float32).max)  # the .moya header holds L as f32
+        if not 0 < self.length <= top:  # also false for NaN
+            raise ValueError(
+                f"length must be positive and finite, at most {top:.7g}, got {self.length}"
+            )
         if not 0 < self.theta < np.inf:
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
 

@@ -5,6 +5,10 @@ check carries its measured value and the tolerance it was held to.  Every
 bound, draw count and theta ladder is a module constant; a RunConfig sets
 only the model (spacetime, base form, grid, seed).  The suites are
 deterministic for a fixed RunConfig (seeded randomness only).
+
+The table SUITES names every suite for run_suite, `verify --suite` and the
+"all" report: a new suite is one suite_<name>(cfg) function plus one SUITES
+entry.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from moyalorbit.operators import (
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 from moyalorbit.star import involution, semiclassical_sweep, star_product
 
-SUITE_NAMES = ("weyl", "equivariance", "cstar", "semiclassical")
-
 # The pinned bound of every check: a config sets the model, never the verdict.
 TOLERANCES = {
     "weyl_phase": 1e-12,
@@ -58,6 +60,18 @@ DRAWS = 100  # random draws per check of the weyl and equivariance suites
 STACK_ENTRIES = 2**17  # grid entries per stacked equivariance pass: 32 fibers of 64^2, 2 MiB
 SEMICLASSICAL_THETAS = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
+# The plane model of the equivariance, cstar and semiclassical suites and of `sweep`
+PLANE = Spacetime(2, (1, -1))
+PLANE_FORM = standard_skew(PLANE)
+
+
+def _typed_keys(data: dict, kinds: dict, what: str, prefix: str) -> dict:
+    """data's values read as the JSON types kinds gives their keys; another key is an error."""
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return {key: json_value(kinds[key], value, prefix + key) for key, value in data.items()}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -71,8 +85,9 @@ class RunConfig:
     theta: float = 1.0
     seed: int = 0
 
-    _KNOWN = {"dim", "metric", "sigma0", "grid", "seed"}
-    _GRID_KNOWN = {"n", "length", "theta"}
+    # each config key, and each key of its "grid" object, with its JSON type
+    _KEYS = {"dim": int, "metric": [int], "sigma0": [[float]], "grid": dict, "seed": int}
+    _GRID_KEYS = {"n": int, "length": float, "theta": float}
 
     def __post_init__(self):
         # GridSpec, Spacetime and SkewForm hold the rules: a bad config fails at load
@@ -82,27 +97,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(json_value(dict, data, "config")) - cls._KNOWN
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        grid = json_value(dict, data.get("grid", {}), "grid")
-        unknown = set(grid) - cls._GRID_KNOWN
-        if unknown:
-            raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-        kwargs = {}
-        if "dim" in data:
-            kwargs["dim"] = json_value(int, data["dim"], "dim")
-        if "metric" in data:
-            kwargs["metric"] = json_value([int], data["metric"], "metric")
-        elif "dim" in data:
+        data = json_value(dict, data, "config")
+        if "sigma0" in data and data["sigma0"] is None:  # null: the standard form
+            del data["sigma0"]
+        kwargs = _typed_keys(data, cls._KEYS, "config", "")
+        kwargs.update(_typed_keys(kwargs.pop("grid", {}), cls._GRID_KEYS, "grid", "grid."))
+        if "dim" in kwargs and "metric" not in kwargs:
             kwargs["metric"] = tuple([1] + [-1] * (kwargs["dim"] - 1))
-        if data.get("sigma0") is not None:
-            kwargs["sigma0"] = json_value([[float]], data["sigma0"], "sigma0")
-        for key, kind in (("n", int), ("length", float), ("theta", float)):
-            if key in grid:
-                kwargs[key] = json_value(kind, grid[key], f"grid.{key}")
-        if "seed" in data:
-            kwargs["seed"] = json_value(int, data["seed"], "seed")
         return cls(**kwargs)
 
     def spacetime(self) -> Spacetime:
@@ -121,10 +122,8 @@ def _check(name: str, value: float, tol, mode: str = "le") -> dict:
         ok = value <= tol
     elif mode == "ge":
         ok = value >= tol
-    elif mode == "range":
+    else:  # "range"
         ok = tol[0] <= value <= tol[1]
-    else:
-        raise ValueError(mode)
     return {
         "name": name,
         "value": float(value),
@@ -134,12 +133,8 @@ def _check(name: str, value: float, tol, mode: str = "le") -> dict:
     }
 
 
-def _plane_spacetime() -> Spacetime:
-    return Spacetime(2, (1, -1))
-
-
-def _plane_form() -> SkewForm:
-    return standard_skew(_plane_spacetime())
+def _report(name: str, checks: list, **extra) -> dict:
+    return {"suite": name, "checks": checks, "pass": all(c["pass"] for c in checks), **extra}
 
 
 def semiclassical_pair(cfg: RunConfig) -> tuple:
@@ -185,7 +180,7 @@ def suite_weyl(cfg: RunConfig) -> dict:
         _check("weyl_relation_phase", worst_phase, TOLERANCES["weyl_phase"]),
         _check("generator_associativity", worst_assoc, TOLERANCES["weyl_assoc"]),
     ]
-    return {"suite": "weyl", "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return _report("weyl", checks)
 
 
 def _random_gaussian(dim: int, rng) -> SeparableGaussian:
@@ -221,24 +216,23 @@ def suite_equivariance(cfg: RunConfig) -> dict:
     stacked FiberedFunction passes (_stacked_passes).  Each value is the
     largest defect over the draws, as one pass per draw gives it.
     """
-    st = _plane_spacetime()
     spec = GridSpec(dim=2, n=cfg.n, length=cfg.length, theta=cfg.theta)
     spec1d = GridSpec(dim=1, n=cfg.n, length=cfg.length, theta=cfg.theta)
     rng = np.random.default_rng(cfg.seed + 1)
     int_alphas = [np.array(a, dtype=float) for a in ((1, 0), (0, 1), (1, 1), (1, -1))]
     phi_draws = []  # (alpha index, (t1, t2), psi on the line per fiber, x)
     for _ in range(DRAWS):
-        transforms = (random_lorentz(st, rng, max_word=2), random_lorentz(st, rng, max_word=2))
+        transforms = tuple(random_lorentz(PLANE, rng, max_word=2) for _ in range(2))
         c = float(rng.uniform(-0.3, 0.3))
         w = float(rng.uniform(0.9, 1.3))
         line = np.exp(-np.pi * (spec1d.axis() - c) ** 2 / w**2)
         alpha = int(rng.integers(len(int_alphas)))
         x = rng.uniform(-0.3, 0.3, 2)
         phi_draws.append((alpha, transforms, (line, line), x))
-    reflections = [parity(st), time_reversal(st)]
+    reflections = [parity(PLANE), time_reversal(PLANE)]
     gamma_draws = []  # (reflection index, (t, t S), a Gaussian per fiber, x)
     for _ in range(DRAWS):
-        t = random_lorentz(st, rng, max_word=2)
+        t = random_lorentz(PLANE, rng, max_word=2)
         k = int(rng.integers(2))
         gaussians = [_random_gaussian(spec.dim, rng) for _ in range(2)]
         x = rng.uniform(-0.3, 0.3, 2)
@@ -255,11 +249,7 @@ def suite_equivariance(cfg: RunConfig) -> dict:
         _check("phi_equivariance", worst_phi, TOLERANCES["phi_equivariance"]),
         _check("gamma_covariance", worst_gamma, TOLERANCES["gamma_covariance"]),
     ]
-    return {
-        "suite": "equivariance",
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return _report("equivariance", checks)
 
 
 def _block_norm(blocks: np.ndarray) -> float:
@@ -282,7 +272,7 @@ def suite_cstar(cfg: RunConfig) -> dict:
     block_structure_defect is its off-block share, and dense_blocks_match the
     relative max-abs gap between its blocks and the direct ones.
     """
-    sigma = _plane_form()
+    sigma = PLANE_FORM
     n = 32
     spec = GridSpec(dim=2, n=n, length=cfg.length, theta=cfg.length**2 / n)
     f = SeparableGaussian(
@@ -322,23 +312,14 @@ def suite_cstar(cfg: RunConfig) -> dict:
             mode="ge",
         ),
     ]
-    return {
-        "suite": "cstar",
-        "grid": {
-            "n": n,
-            "length": spec.length,
-            "theta": spec.theta,
-            "twist": twist(spec, sigma),
-        },
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    grid = {"n": n, "length": spec.length, "theta": spec.theta, "twist": twist(spec, sigma)}
+    return _report("cstar", checks, grid=grid)
 
 
 def suite_semiclassical(cfg: RunConfig) -> dict:
     """Log-log slopes of the commutative-limit defects D1 and D2."""
     f, g = semiclassical_pair(cfg)
-    result = semiclassical_sweep(f, g, _plane_form(), SEMICLASSICAL_THETAS)
+    result = semiclassical_sweep(f, g, PLANE_FORM, SEMICLASSICAL_THETAS)
     checks = [
         _check("slope_d1", result["slope_d1"], TOLERANCES["slope_d1"], mode="range"),
         _check("slope_d2", result["slope_d2"], TOLERANCES["slope_d2"], mode="range"),
@@ -354,28 +335,25 @@ def suite_semiclassical(cfg: RunConfig) -> dict:
             mode="ge",
         ),
     ]
-    return {
-        "suite": "semiclassical",
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-        "rows": result["rows"],
-    }
+    return _report("semiclassical", checks, rows=result["rows"])
+
+
+SUITES = {
+    "weyl": suite_weyl,
+    "equivariance": suite_equivariance,
+    "cstar": suite_cstar,
+    "semiclassical": suite_semiclassical,
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict:
-    if name == "weyl":
-        return suite_weyl(cfg)
-    if name == "equivariance":
-        return suite_equivariance(cfg)
-    if name == "cstar":
-        return suite_cstar(cfg)
-    if name == "semiclassical":
-        return suite_semiclassical(cfg)
+    """The report of suite name, or of every suite in SUITES order for "all"."""
     if name == "all":
-        reports = [run_suite(n, cfg) for n in SUITE_NAMES]
-        return {
-            "suite": "all",
-            "reports": reports,
-            "pass": all(r["pass"] for r in reports),
-        }
-    raise KeyError(f"unknown suite: {name}")
+        reports = [run_suite(n, cfg) for n in SUITES]
+        return {"suite": "all", "reports": reports, "pass": all(r["pass"] for r in reports)}
+    if name not in SUITES:
+        raise KeyError(f"unknown suite: {name}")
+    # looked up by name when called, so a wrapper installed on the module (as
+    # perfbench/tracer.py installs one) is the one run
+    return globals()[SUITES[name].__name__](cfg)

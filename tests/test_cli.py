@@ -127,6 +127,28 @@ def test_non_finite_grid_config_is_usage_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--suite", "cstar"],
+        ["verify", "--suite", "semiclassical"],
+        ["gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"],
+    ],
+    ids=["cstar", "semiclassical", "gauss"],
+)
+def test_grid_length_beyond_float32_is_usage_error(tmp_path, capsys, command):
+    # the .moya header holds L as f32; a larger length would overflow in L^2,
+    # in dx^d or in the header's pack, so the config load refuses it
+    cfg = write_cfg(tmp_path, {"dim": 2, "grid": {"length": 1e200}})
+    out = tmp_path / "out"
+    target = str(out / "f.moya") if command[0] == "gauss" else str(out)
+    assert main(["--config", cfg, *command, "--out", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: length must be positive and finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_star_rejects_mismatched_grids(tmp_path):
     cfg = write_cfg(tmp_path, PLANE_CFG)
     cfg_big = write_cfg(tmp_path, dict(PLANE_CFG, grid={"n": 64}), name="big.json")
@@ -224,6 +246,16 @@ def test_verify_weyl_passes_and_is_deterministic(tmp_path):
     assert b1 == (out2 / "verify_weyl.json").read_bytes()
     report = json.loads(b1)
     assert report["pass"] is True
+
+
+def test_null_sigma0_is_the_standard_form(tmp_path):
+    reports = []
+    for name, cfg in (("null", {"dim": 2, "sigma0": None}), ("absent", {"dim": 2})):
+        out = tmp_path / name
+        argv = ["--config", write_cfg(tmp_path, cfg, f"{name}.json"), "verify", "--suite", "weyl"]
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append((out / "verify_weyl.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_unknown_suite_is_usage_error(tmp_path):

@@ -8,7 +8,9 @@ import pytest
 from moyalorbit import covariance as cov
 from moyalorbit import suites
 from moyalorbit.geometry import (
+    LorentzTransform,
     Spacetime,
+    make_rotation,
     parity,
     random_lorentz,
     standard_skew,
@@ -18,6 +20,7 @@ from moyalorbit.grids import GridFunction, GridSpec, forward_array, separable_wa
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
 
 ST2 = Spacetime(2, (1, -1))
+ST4 = Spacetime(4, (1, -1, -1, -1))
 PLANE = standard_skew(ST2)
 SPEC = GridSpec(dim=2, n=64, length=8.0, theta=1.0)
 SPEC1D = GridSpec(dim=1, n=64, length=8.0, theta=1.0)
@@ -294,3 +297,30 @@ def test_equivariance_suite_peak_memory_is_chunked():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_gamma_covariance_fails_with_s_in_place_of_its_inverse_at_d4(monkeypatch):
+    # every finite-order element of O(1,1) is its own inverse, so no plane draw
+    # can tell S from S^-1; at d = 4 the 90-degree rotation R of the (x1, x2)
+    # plane has order 4, and the draw {t, tR, tR^2, tR^3} holds both t R^-1 and
+    # t R.  At seed 3 the defect reads 5.7e-17, and 0.47 with S for S^-1
+    spec = GridSpec(dim=4, n=8, length=8.0)
+    r = LorentzTransform(np.round(make_rotation(ST4, (1, 2), np.pi / 2).matrix), ST4)
+    rng = np.random.default_rng(3)
+    draw = [random_lorentz(ST4, rng, max_word=2)]
+    for _ in range(3):
+        draw.append(draw[-1].compose(r))
+    fibers = [
+        SeparableGaussian(
+            tuple(
+                GaussianFactor(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(1.1, 1.5)))
+                for _ in range(4)
+            )
+        ).sample(spec).values
+        for _ in draw
+    ]
+    f = cov.FiberedFunction(cov.GroupSample(tuple(draw)), spec, fibers)
+    x = rng.uniform(-0.3, 0.3, 4)
+    assert cov.check_gamma_covariance(r, x, f) <= suites.TOLERANCES["gamma_covariance"]
+    monkeypatch.setattr(LorentzTransform, "inverse", lambda self: self)
+    assert cov.check_gamma_covariance(r, x, f) > 0.1

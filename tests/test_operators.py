@@ -368,6 +368,20 @@ def test_spot_check_fails_on_a_mutated_dense_build(mutation, failing, monkeypatc
     assert {c["name"] for c in rep["checks"] if not c["pass"]} == failing
 
 
+def test_cstar_fails_on_blocks_built_at_the_transposed_form(monkeypatch):
+    # negative control on the direct side: every L_h built at sigma^T = -sigma.
+    # At seed 0 dense_blocks_match reads 1.0 and homomorphism_defect 0.55;
+    # the adjoint, C* and positivity checks hold for the opposite form too
+    blocks = suites.left_regular_blocks
+    monkeypatch.setattr(
+        suites, "left_regular_blocks", lambda h, sigma: blocks(h, SkewForm(sigma.matrix.T))
+    )
+    rep = suite_cstar(RunConfig())
+    assert not rep["pass"]
+    failing = {c["name"] for c in rep["checks"] if not c["pass"]}
+    assert failing == {"dense_blocks_match", "homomorphism_defect"}
+
+
 @pytest.mark.parametrize("length", [6.0, 10.0, 16.0])
 def test_suite_cstar_closes_the_twist_at_any_length(length):
     # theta = L^2 / 32 keeps the twist at 1 whatever the box length
