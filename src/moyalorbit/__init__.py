@@ -12,33 +12,3 @@ Modules:
     suites      -- named verification suites and their run configuration
     cli         -- command-line driver
 """
-
-from moyalorbit.geometry import (
-    Spacetime,
-    LorentzTransform,
-    SkewForm,
-    standard_skew,
-    act_on_form,
-    q_form,
-    orbit_invariants,
-    in_stabilizer,
-    sample_orbit,
-)
-from moyalorbit.grids import GridSpec, GridFunction
-from moyalorbit.weyl import WeylElement, unit_u
-
-__all__ = [
-    "Spacetime",
-    "LorentzTransform",
-    "SkewForm",
-    "standard_skew",
-    "act_on_form",
-    "q_form",
-    "orbit_invariants",
-    "in_stabilizer",
-    "sample_orbit",
-    "GridSpec",
-    "GridFunction",
-    "WeylElement",
-    "unit_u",
-]

@@ -7,7 +7,8 @@ Commands:
     verify  -- run a named verification suite, JSON report, exit 1 on failure
     sweep   -- semiclassical theta sweep to CSV
 
-Exit codes: 0 pass, 1 check failure, 2 usage/format error.  All outputs are
+Exit codes: 0 pass, 1 check failure, 2 usage, format or I/O error (an
+unreadable input or an unwritable --out, for example).  All outputs are
 deterministic for a fixed config + seed; runtimes go to stderr only.
 """
 
@@ -33,24 +34,7 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    try:
-        return RunConfig.from_dict(json.loads(Path(path).read_text()))
-    except OSError as exc:  # a missing or unreadable file is a usage error
-        raise ValueError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-
-
-def _dump_json(path: Path, data) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
-
-
-def cmd_orbit(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+def cmd_orbit(args, cfg: RunConfig) -> int:
     st = cfg.spacetime()
     pairs = sample_orbit(st, args.n, cfg.seed, cfg.base_form())
     records = []
@@ -63,33 +47,32 @@ def cmd_orbit(args) -> int:
             }
         )
     out = Path(args.out) / "orbit.json"
-    _dump_json(out, {"seed": cfg.seed, "records": records})
+    gridio.write_json(out, {"seed": cfg.seed, "records": records})
     print(out)
     return 0
 
 
-def cmd_gauss(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_gauss(args, cfg: RunConfig) -> int:
     spec = GridSpec(dim=cfg.dim, n=cfg.n, length=cfg.length, theta=cfg.theta)
     factors = []
     for spec_str in args.factor:
         c, w, b = (float(v) for v in spec_str.split(","))
         factors.append(GaussianFactor(c, w, b))
     if len(factors) != cfg.dim:
-        print(f"gauss requires {cfg.dim} --factor c,w,b options", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"gauss requires {cfg.dim} --factor c,w,b options")
     g = SeparableGaussian(tuple(factors))
     path = Path(args.out)
     gridio.write_grid(path, g.sample(spec), cfg.base_form())
     sidecar_path = path.with_suffix(path.suffix + ".json")
     sidecar = json.loads(sidecar_path.read_text())
     sidecar["gaussian"] = [[f.center, f.width, f.freq] for f in factors]
-    sidecar_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    gridio.write_json(sidecar_path, sidecar)
     print(path)
     return 0
 
 
-def _read_gaussian(path: Path) -> SeparableGaussian | None:
+def _read_gaussian(path: Path, dim: int) -> SeparableGaussian | None:
+    """The factors a `gauss` sidecar records, one c,w,b row per grid axis; None if absent."""
     sidecar = path.with_suffix(path.suffix + ".json")
     if not sidecar.exists():
         return None
@@ -97,42 +80,32 @@ def _read_gaussian(path: Path) -> SeparableGaussian | None:
     if "gaussian" not in data:
         return None
     rows = gridio.json_value([[float]], data["gaussian"], f"{sidecar} gaussian")
+    if len(rows) != dim or any(len(row) != 3 for row in rows):
+        raise gridio.FormatError(f"{sidecar} gaussian must hold {dim} c,w,b rows, one per axis")
     return SeparableGaussian(tuple(GaussianFactor(c, w, b) for c, w, b in rows))
 
 
-def cmd_star(args) -> int:
-    cfg = _load_config(args.config)
-    try:
-        f, sigma_f = gridio.read_grid(args.f_file)
-        g, sigma_g = gridio.read_grid(args.g_file)
-    except (gridio.FormatError, OSError) as exc:  # a missing, unreadable or malformed grid
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_star(args, cfg: RunConfig) -> int:
+    f, sigma_f = gridio.read_grid(args.f_file)
+    g, sigma_g = gridio.read_grid(args.g_file)
     if f.spec != g.spec:
-        print("error: grid headers do not match", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("grid headers do not match")
     sigmas = [s for s in (sigma_f, sigma_g) if s is not None]
     if len(sigmas) == 2 and not np.array_equal(sigma_f.matrix, sigma_g.matrix):
-        print(
-            f"error: {args.f_file} and {args.g_file} carry different skew forms",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise ValueError(f"{args.f_file} and {args.g_file} carry different skew forms")
     sigma = sigmas[0] if sigmas else cfg.base_form()
     if sigma.dim != f.spec.dim:
-        print("error: skew form dimension does not match grids", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("skew form dimension does not match grids")
     if args.oracle:  # read before the product, so a bad input costs nothing
-        gaussians = (_read_gaussian(Path(args.f_file)), _read_gaussian(Path(args.g_file)))
+        gaussians = [_read_gaussian(Path(p), f.spec.dim) for p in (args.f_file, args.g_file)]
         if None in gaussians:
-            print("error: --oracle needs Gaussian inputs written by `gauss`", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--oracle needs Gaussian inputs written by `gauss`")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an --out that is a file fails here, too
     t0 = time.perf_counter()
     result = star_product(f, g, sigma)
     elapsed = time.perf_counter() - t0
     print(f"star product took {elapsed:.3f}s", file=sys.stderr)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid_path = out_dir / "star.moya"
     gridio.write_grid(grid_path, result, sigma)
     summary = {"l2_norm": result.norm2(), "max_abs": result.max_abs()}
@@ -140,32 +113,25 @@ def cmd_star(args) -> int:
         summary["pointwise_defect"] = relative_l2(result, f * g)
     if args.oracle:
         summary["oracle_defect"] = oracle_defect(result, *gaussians, sigma)
-    _dump_json(out_dir / "star_summary.json", summary)
+    gridio.write_json(out_dir / "star_summary.json", summary)
     print(grid_path)
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+def cmd_verify(args, cfg: RunConfig) -> int:
     if args.suite not in (*SUITES, "all"):
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"unknown suite {args.suite!r}")
     report = run_suite(args.suite, cfg)
-    out = Path(args.out) / f"verify_{args.suite}.json"
-    _dump_json(out, report)
-    print(json.dumps(report, sort_keys=True, indent=1))
+    gridio.write_json(Path(args.out) / f"verify_{args.suite}.json", report)
+    print(gridio.json_text(report), end="")
     return 0 if report["pass"] else CHECK_FAILURE
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_sweep(args, cfg: RunConfig) -> int:
     try:
         thetas = [float(t) for t in args.theta.split(",")]
     except ValueError:
-        print("error: --theta must be a comma-separated float list", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--theta must be a comma-separated float list") from None
     f, g = semiclassical_pair(cfg)
     result = semiclassical_sweep(f, g, PLANE_FORM, thetas)
     out = Path(args.out) / "sweep.csv"
@@ -187,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deformed products over a Lorentz orbit of skew forms",
     )
     parser.add_argument("--config", default=None, help="JSON config file")
+    parser.set_defaults(seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("orbit", help="sample the orbit, write orbit.json")
@@ -221,11 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Load the config, apply --seed and run the command; every usage, format
+    or I/O error (ValueError, KeyError, OSError) is one ``error:`` line, exit 2."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, KeyError) as exc:
+        cfg = RunConfig()
+        if args.config is not None:
+            try:
+                text = Path(args.config).read_text()
+            except OSError as exc:
+                raise ValueError(f"cannot read config {args.config}: {exc.strerror or exc}") from exc
+            cfg = RunConfig.from_dict(json.loads(text))
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        return args.fn(args, cfg)
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

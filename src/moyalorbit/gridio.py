@@ -1,4 +1,4 @@
-"""Grid binary format and JSON input helpers.
+"""Grid binary format, typed JSON input values and the JSON output format.
 
 The .moya format: a 16-byte header (magic "MOYA", u8 version, u8 dim,
 u16 N, f32 L, 4 pad bytes, all little-endian) followed by N^d complex
@@ -38,6 +38,17 @@ def json_value(kind, value, key: str):
     return kind(value)
 
 
+def json_text(data) -> str:
+    """The text of every JSON output: sorted keys, indent 1, a final newline."""
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+def write_json(path, data) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json_text(data))
+
+
 def write_grid(path, f: GridFunction, sigma: SkewForm | None = None) -> None:
     path = Path(path)
     spec = f.spec
@@ -52,9 +63,7 @@ def write_grid(path, f: GridFunction, sigma: SkewForm | None = None) -> None:
     }
     if sigma is not None:
         sidecar["sigma"] = sigma.to_json()
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
-    )
+    path.with_suffix(path.suffix + ".json").write_text(json_text(sidecar))
 
 
 def read_grid(path) -> tuple:

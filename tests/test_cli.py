@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moyalorbit import suites
+from moyalorbit import cli, suites
 from moyalorbit.cli import main
 from moyalorbit.gridio import read_grid
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
@@ -394,3 +394,101 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _gauss_pair(tmp_path, cfg):
+    paths = tmp_path / "f.moya", tmp_path / "g.moya"
+    for path in paths:
+        argv = ["--config", cfg, "gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"]
+        assert main([*argv, "--out", str(path)]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 1.2, 0]] * 3, [[0, 1.2], [0, 1.2, 0]]],
+    ids=["three-factors", "short-row"],
+)
+def test_oracle_checks_each_sidecar_before_the_product(tmp_path, capsys, rows):
+    # the factors must fit the grid's axes: one c,w,b row per axis
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    f_path, g_path = _gauss_pair(tmp_path, cfg)
+    sidecar = g_path.with_suffix(".moya.json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "gaussian": rows}))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    argv = ["--config", cfg, "star", str(f_path), str(g_path), "--oracle", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(sidecar) in err and err.count("\n") == 1
+    assert not (out / "star.moya").exists()
+
+
+@pytest.mark.parametrize("command", ["orbit", "gauss", "star", "verify", "sweep"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    f_path, g_path = _gauss_pair(tmp_path, cfg)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = str(blocker / "x")  # below a file, so no directory can be made
+    argv = {
+        "orbit": ["orbit", "-n", "2"],
+        "gauss": ["gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"],
+        "star": ["star", str(f_path), str(g_path), "--oracle"],
+        "verify": ["verify", "--suite", "weyl"],
+        "sweep": ["sweep", "--theta", "1.0,0.5"],
+    }[command]
+    capsys.readouterr()
+    assert main(["--config", cfg, *argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == err.splitlines()[-1:]
+    assert "Traceback" not in err
+
+
+def _cmd_error_paths(tree: ast.Module) -> list:
+    """(function, line) of each USAGE_ERROR read or "error:" print inside a cmd_* function."""
+    found = []
+    for func in tree.body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id == "USAGE_ERROR":
+                found.append((func.name, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+                and node.args
+                and "error:" in ast.unparse(node.args[0])
+            ):
+                found.append((func.name, node.lineno))
+    return found
+
+
+def test_only_main_maps_errors_to_the_usage_exit_code():
+    # each command raises; main alone turns an error into one line and exit 2
+    source = Path(cli.__file__).read_text()
+    assert _cmd_error_paths(ast.parse(source)) == []
+    planted = source.replace("def main(", "def cmd_main(")
+    assert len(_cmd_error_paths(ast.parse(planted))) == 2  # the guard sees main's own two
+
+
+def _json_dumps_calls(source: str) -> list:
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "dumps"
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ]
+
+
+def test_only_gridio_formats_json():
+    # one JSON output format (sorted keys, indent 1, final newline), in gridio
+    package = Path(cli.__file__).parent
+    offenders = {
+        path.name: _json_dumps_calls(path.read_text())
+        for path in sorted(package.glob("*.py"))
+        if path.name != "gridio.py"
+    }
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+    assert _json_dumps_calls((package / "gridio.py").read_text())

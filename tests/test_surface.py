@@ -14,13 +14,14 @@ PACKAGE = Path(moyalorbit.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Public functions, classes and methods that only tests reach: the helpers
-# behind acceptance criteria 2, 4 and 5, and tools the tests build fixtures
+# behind acceptance criteria 2, 4, 5 and 8, and tools the tests build fixtures
 # or references with.  A new entry needs a caller in src/ or perfbench/.
 TEST_ONLY = {
     "covariance.FiberedFunction.from_callable",
     "covariance.check_pointwise_theorem",
     "geometry.SkewForm.scaled",
     "geometry.SkewForm.zero",
+    "geometry.in_stabilizer",
     "grids.GridFunction.from_callable",
     "operators.apply_operator",
     "oracle.GaussianFactor.hat",
