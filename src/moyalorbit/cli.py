@@ -15,6 +15,7 @@ deterministic for a fixed config + seed; runtimes go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -121,8 +122,10 @@ def cmd_star(args, cfg: RunConfig) -> int:
 def cmd_verify(args, cfg: RunConfig) -> int:
     if args.suite not in (*SUITES, "all"):
         raise ValueError(f"unknown suite {args.suite!r}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the suite, so a bad --out costs nothing
     report = run_suite(args.suite, cfg)
-    gridio.write_json(Path(args.out) / f"verify_{args.suite}.json", report)
+    gridio.write_json(out_dir / f"verify_{args.suite}.json", report)
     print(gridio.json_text(report), end="")
     return 0 if report["pass"] else CHECK_FAILURE
 
@@ -132,10 +135,10 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         thetas = [float(t) for t in args.theta.split(",")]
     except ValueError:
         raise ValueError("--theta must be a comma-separated float list") from None
+    out = Path(args.out) / "sweep.csv"
+    out.parent.mkdir(parents=True, exist_ok=True)  # before the sweep, as in verify
     f, g = semiclassical_pair(cfg)
     result = semiclassical_sweep(f, g, PLANE_FORM, thetas)
-    out = Path(args.out) / "sweep.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["theta,d1,d2,slope_d1,slope_d2"]
     for row in result["rows"]:
         lines.append(
@@ -147,7 +150,18 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     return 0
 
 
+COMMANDS = {
+    "orbit": cmd_orbit,
+    "gauss": cmd_gauss,
+    "star": cmd_star,
+    "verify": cmd_verify,
+    "sweep": cmd_sweep,
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; it names a command, and main runs its COMMANDS entry."""
     parser = argparse.ArgumentParser(
         prog="moyalorbit",
         description="Deformed products over a Lorentz orbit of skew forms",
@@ -160,30 +174,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
-    p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("gauss", help="write a separable-Gaussian grid file")
     p.add_argument("--factor", action="append", required=True, metavar="c,w,b")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_gauss)
 
     p = sub.add_parser("star", help="star product of two grid files")
     p.add_argument("f_file")
     p.add_argument("g_file")
     p.add_argument("--out", default=".")
     p.add_argument("--oracle", action="store_true")
-    p.set_defaults(fn=cmd_star)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="semiclassical theta sweep to CSV")
     p.add_argument("--theta", required=True, help="comma-separated decreasing list")
     p.add_argument("--out", default=".")
-    p.set_defaults(fn=cmd_sweep)
     return parser
 
 
@@ -201,7 +210,9 @@ def main(argv=None) -> int:
             cfg = RunConfig.from_dict(json.loads(text))
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        return args.fn(args, cfg)
+        # looked up by name when called, so a wrapper installed on the module (as
+        # perfbench/tracer.py installs one) is the one run
+        return globals()[COMMANDS[args.command].__name__](args, cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

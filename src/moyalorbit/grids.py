@@ -173,11 +173,12 @@ def swap_halves(values: np.ndarray) -> np.ndarray:
 
 
 def ifft_last(values: np.ndarray) -> np.ndarray:
-    """Uncentered inverse DFT along the last axis, weighted 1/N as np.fft.ifft.
+    """Uncentered inverse DFT along the last axis, weighted 1/N as np.fft.ifft,
+    in place: values is overwritten and returned.
 
     inverse_array on a 1-D spec is swap_halves(ifft_last(swap_halves(values))).
     """
-    return np.fft.ifft(values, axis=-1)
+    return np.fft.ifft(values, axis=-1, out=values)
 
 
 def unitary_dft(values: np.ndarray, axis: int, inverse: bool) -> np.ndarray:

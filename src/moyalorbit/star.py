@@ -21,9 +21,18 @@ sigma_aa = 0 for every skew form, so the phase factors as
 
 one ramp table R[u, v] = e(-theta (sigma_aE.u) v) over E-nodes u and axis-a
 dual nodes v (f takes R, ghat conj(R)), then the E-E twist, which is 1 at
-d = 2.  1-D transforms along axis a, a fold over k_E + p_E (exact mod N per
-axis on the centered lattice, N even) and one transform over the E axes
-give O(N^{2d-1} log N) work and O(d N^d) exps.
+d = 2 and whenever sigma_EE = 0, so it is skipped there.  1-D transforms
+along axis a, a fold over k_E + p_E (exact mod N per axis on the centered
+lattice, N even) and one transform over the E axes give O(N^{2d-1} log N)
+work and O(d N^d) exps.
+
+The p_E rows run in batches.  For a row p_E and a fold target j the partner
+is k_E = j - p_E (per axis, mod N), so the batch arrays are laid out as
+[p_E, j, q_a]: both are gathered from the N^d tables fhat and conj(R) by
+np.take, and the fold is a plain sum over the batch's p_E rows.  The two
+batch buffers are allocated once per product and transformed in place, so a
+batch allocates nothing batch-sized; the twist comes from one small
+separable_waves table over the batch's rows.
 
 The axis-a transforms are uncentered.  The centering along axis a is a fixed
 permutation (grids.swap_halves) that commutes with the ramps, the twist and
@@ -49,9 +58,9 @@ from moyalorbit.grids import (
     swap_halves,
 )
 
-# Entries per batch of the kernel's (k_E, p_E, q_a) arrays; fixed so the
-# reduction order is bit-stable and the working set stays bounded.
-_BATCH_ENTRIES = 2**18
+# Entries per batch of the kernel's two (p_E, j, q_a) buffers; fixed so the
+# reduction order is bit-stable, and cache-sized (0.5 MB per buffer).
+_BATCH_ENTRIES = 2**15
 
 
 def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunction:
@@ -72,23 +81,39 @@ def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunct
     fhat = swap_halves(forward_array(f.values, spec).reshape(-1, n))  # unweighted, [k_E, k_a]
     ghat = swap_halves(fft_forward(g).values.reshape(-1, n))  # carries dx^d, [p_E, p_a]
     # e(q_E.(k_E + p_E)) has period N/L in each k_e + p_e on the grid, so k_E + p_E
-    # folds exactly onto the E-node with per-axis index (i_k + i_p - N/2) mod N.
+    # folds exactly onto the E-node j with per-axis index (i_k + i_p - N/2) mod N:
+    # for a p_E row, k_E = k_of[p_E, j] has index (j - i_p + N/2) mod N per axis.
     shape = (n,) * (d - 1)
     index = np.indices(shape).reshape(d - 1, -1)
-    rows = max(1, _BATCH_ENTRIES // spec.size)
-    folded = np.zeros((nodes.shape[0], n), dtype=complex)  # [E-node of k_E + p_E, q_a]
-    for start in range(0, nodes.shape[0], rows):
-        kb = slice(start, start + rows)
-        # e(-theta k_E.sigma_EE p_E) = prod_e e(-theta c_e p_e), c = k_E.sigma_EE
-        twist = separable_waves(-spec.theta * (nodes[kb] @ m[:-1, :-1]), p)
-        i_p = (index[:, None] - index[:, kb, None] + n // 2) % n  # [axis e, k_E, j]
-        p_of = np.ravel_multi_index(tuple(i_p), shape)  # [k_E, j] -> p_E
-        a = ifft_last(fhat[kb, None, :] * r[None, :, :])  # [k_E, p_E, q_a]
-        b = ifft_last(ghat[None, :, :] * r[kb].conj()[:, None, :])  # [k_E, p_E, q_a]
-        a *= b  # in place, a on the left: operand order changes rounding
-        del b
-        a *= twist.reshape(a.shape[:2] + (1,))
-        folded += np.take_along_axis(a, p_of[:, :, None], axis=1).sum(axis=0)
+    shifted = index + n // 2
+    m_ee = m[:-1, :-1]
+    twisted = bool(np.any(m_ee))  # sigma_EE = 0 (always at d = 2): the twist is 1
+    size = nodes.shape[0]
+    rows = min(size, max(1, _BATCH_ENTRIES // spec.size))
+    rc = r.conj()
+    x = np.empty((rows, size, n), dtype=complex)  # [p_E, j, q_a], reused per batch
+    y = np.empty_like(x)
+    folded = np.zeros((size, n), dtype=complex)  # [E-node j of k_E + p_E, q_a]
+    for start in range(0, size, rows):
+        pb = slice(start, start + rows)
+        i_k = shifted[:, None] - index[:, pb, None]  # [axis e, p_E, j]
+        i_k &= n - 1  # mod N, N a power of 2
+        k_of = np.ravel_multi_index(tuple(i_k), shape)  # [p_E, j] -> k_E
+        xb, yb = x[: len(k_of)], y[: len(k_of)]
+        # every index is in range; "clip" writes out directly where "raise" buffers
+        np.take(fhat, k_of, axis=0, out=xb, mode="clip")
+        xb *= r[pb, None, :]  # fhat(k_E, k_a) R(p_E, k_a)
+        np.take(rc, k_of, axis=0, out=yb, mode="clip")
+        np.multiply(ghat[pb, None, :], yb, out=yb)  # ghat(p_E, p_a) conj R(k_E, p_a)
+        ifft_last(xb)  # over k_a, in place
+        ifft_last(yb)  # over p_a, in place
+        xb *= yb  # the f-transform on the left: operand order changes rounding
+        if twisted:
+            # e(-theta k_E.sigma_EE p_E) = prod_e e(-theta c_e k_e), c = sigma_EE p_E
+            twist = separable_waves(-spec.theta * (nodes[pb] @ m_ee.T), p)
+            at = k_of + size * np.arange(len(k_of))[:, None]  # flat index of (p_E, k_E)
+            xb *= np.take(twist, at)[:, :, None]
+        folded += xb.sum(axis=0)
     folded = swap_halves(folded)  # axis a back in centered order
     out = inverse_array(np.moveaxis(folded.reshape((n,) * d), -1, 0), plane)
     return GridFunction(spec, np.moveaxis(out, 0, -1) * (n * spec.dp**d))

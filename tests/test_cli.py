@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
+import argparse
 import ast
 import json
 from pathlib import Path
@@ -443,6 +444,51 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error: ")] == err.splitlines()[-1:]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, command):
+    # the --out directory is made first, so a bad one costs no suite or sweep
+    calls = []
+    for name in ("run_suite", "semiclassical_sweep"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    argv = {
+        "verify": ["verify", "--suite", "all"],
+        "sweep": ["sweep", "--theta", "1.0,0.5"],
+    }[command]
+    capsys.readouterr()
+    assert main(["--config", write_cfg(tmp_path, PLANE_CFG), *argv, "--out", str(blocker / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
+def test_main_builds_one_parser_and_runs_the_module_command(tmp_path, monkeypatch):
+    # the parser is built once per process; the command is looked up on the
+    # module at each call, so a wrapper installed between calls is the one run
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    f_path, g_path = _gauss_pair(tmp_path, cfg)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        argv = ["--config", cfg, "star", str(f_path), str(g_path), "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        ran = []
+        original = cli.cmd_star
+        monkeypatch.setattr(cli, "cmd_star", lambda args, cfg: ran.append(args) or original(args, cfg))
+        assert main(argv) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("moyalorbit") == 1
+    assert [args.command for args in ran] == ["star"]
 
 
 def _cmd_error_paths(tree: ast.Module) -> list:

@@ -1,5 +1,7 @@
 """Deformed product on grids: oracle agreement, algebraic identities, limits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -452,6 +454,47 @@ def test_batches_with_a_short_last_batch_match_reference_kernel(d, rows, monkeyp
     g = random_grid(spec, 2)
     out = star_product(f, g, sigma).values
     assert max_rel(out, reference_star_product(f, g, sigma)) <= 1e-13
+
+
+def test_d2_batches_with_a_short_last_batch_match_reference_kernel(monkeypatch):
+    # 64 p_E rows in batches of 5: twelve full batches and a short one of 4
+    spec = spec64()
+    rows = 5
+    assert spec.n % rows != 0
+    monkeypatch.setattr(star, "_BATCH_ENTRIES", rows * spec.size)
+    f = F_GAUSS.sample(spec) * random_grid(spec, 1)
+    g = G_GAUSS.sample(spec)
+    out = star_product(f, g, PLANE).values
+    assert max_rel(out, reference_star_product(f, g, PLANE)) <= 1e-13
+
+
+@pytest.mark.parametrize("d, n", [(2, 16), (4, 8)])
+def test_product_leaves_its_inputs_alone_and_repeats_exactly(d, n):
+    # the kernel transforms its own buffers in place, never the caller's values
+    spec = GridSpec(dim=d, n=n, length=8.0, theta=1.0)
+    sigma = PLANE if d == 2 else dense_d4_form()
+    f = random_grid(spec, 1)
+    g = random_grid(spec, 2)
+    before = f.values.copy(), g.values.copy()
+    first = star_product(f, g, sigma).values
+    assert np.array_equal(f.values, before[0]) and np.array_equal(g.values, before[1])
+    assert np.array_equal(star_product(f, g, sigma).values, first)
+
+
+@pytest.mark.parametrize("d, n", [(2, 64), (4, 8)])
+def test_one_product_peaks_under_four_megabytes(d, n):
+    # two cache-sized batch buffers, reused: nothing batch-sized per batch
+    spec = GridSpec(dim=d, n=n, length=8.0, theta=1.0)
+    sigma = PLANE if d == 2 else dense_d4_form()
+    f = random_grid(spec, 1)
+    g = random_grid(spec, 2)
+    tracemalloc.start()
+    try:
+        star_product(f, g, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def trig_polynomial(rng, spec, form, terms=6):
