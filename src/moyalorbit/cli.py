@@ -61,34 +61,28 @@ def cmd_gauss(args, cfg: RunConfig) -> int:
         factors.append(GaussianFactor(c, w, b))
     if len(factors) != cfg.dim:
         raise ValueError(f"gauss requires {cfg.dim} --factor c,w,b options")
-    g = SeparableGaussian(tuple(factors))
-    path = Path(args.out)
-    gridio.write_grid(path, g.sample(spec), cfg.base_form())
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    sidecar = json.loads(sidecar_path.read_text())
+    sidecar = gridio.grid_sidecar(spec, cfg.base_form())
     sidecar["gaussian"] = [[f.center, f.width, f.freq] for f in factors]
-    gridio.write_json(sidecar_path, sidecar)
+    path = Path(args.out)
+    gridio.write_grid_file(path, SeparableGaussian(tuple(factors)).sample(spec), sidecar)
     print(path)
     return 0
 
 
-def _read_gaussian(path: Path, dim: int) -> SeparableGaussian | None:
+def _gaussian(path, sidecar: dict, dim: int) -> SeparableGaussian | None:
     """The factors a `gauss` sidecar records, one c,w,b row per grid axis; None if absent."""
-    sidecar = path.with_suffix(path.suffix + ".json")
-    if not sidecar.exists():
+    if "gaussian" not in sidecar:
         return None
-    data = json.loads(sidecar.read_text())
-    if "gaussian" not in data:
-        return None
-    rows = gridio.json_value([[float]], data["gaussian"], f"{sidecar} gaussian")
+    where = gridio.sidecar_path(path)
+    rows = gridio.json_value([[float]], sidecar["gaussian"], f"{where} gaussian")
     if len(rows) != dim or any(len(row) != 3 for row in rows):
-        raise gridio.FormatError(f"{sidecar} gaussian must hold {dim} c,w,b rows, one per axis")
+        raise gridio.FormatError(f"{where} gaussian must hold {dim} c,w,b rows, one per axis")
     return SeparableGaussian(tuple(GaussianFactor(c, w, b) for c, w, b in rows))
 
 
 def cmd_star(args, cfg: RunConfig) -> int:
-    f, sigma_f = gridio.read_grid(args.f_file)
-    g, sigma_g = gridio.read_grid(args.g_file)
+    f, sigma_f, sidecar_f = gridio.read_grid(args.f_file)
+    g, sigma_g, sidecar_g = gridio.read_grid(args.g_file)
     if f.spec != g.spec:
         raise ValueError("grid headers do not match")
     sigmas = [s for s in (sigma_f, sigma_g) if s is not None]
@@ -98,11 +92,14 @@ def cmd_star(args, cfg: RunConfig) -> int:
     if sigma.dim != f.spec.dim:
         raise ValueError("skew form dimension does not match grids")
     if args.oracle:  # read before the product, so a bad input costs nothing
-        gaussians = [_read_gaussian(Path(p), f.spec.dim) for p in (args.f_file, args.g_file)]
+        gaussians = [
+            _gaussian(args.f_file, sidecar_f, f.spec.dim),
+            _gaussian(args.g_file, sidecar_g, f.spec.dim),
+        ]
         if None in gaussians:
             raise ValueError("--oracle needs Gaussian inputs written by `gauss`")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # an --out that is a file fails here, too
+    gridio.make_dir(out_dir)  # an --out that is a file fails here, too
     t0 = time.perf_counter()
     result = star_product(f, g, sigma)
     elapsed = time.perf_counter() - t0
@@ -123,7 +120,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if args.suite not in (*SUITES, "all"):
         raise ValueError(f"unknown suite {args.suite!r}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # before the suite, so a bad --out costs nothing
+    gridio.make_dir(out_dir)  # before the suite, so a bad --out costs nothing
     report = run_suite(args.suite, cfg)
     gridio.write_json(out_dir / f"verify_{args.suite}.json", report)
     print(gridio.json_text(report), end="")
@@ -136,7 +133,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     except ValueError:
         raise ValueError("--theta must be a comma-separated float list") from None
     out = Path(args.out) / "sweep.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)  # before the sweep, as in verify
+    gridio.make_dir(out.parent)  # before the sweep, as in verify
     f, g = semiclassical_pair(cfg)
     result = semiclassical_sweep(f, g, PLANE_FORM, thetas)
     lines = ["theta,d1,d2,slope_d1,slope_d2"]
@@ -145,7 +142,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
             f"{row['theta']!r},{row['d1']!r},{row['d2']!r},"
             f"{result['slope_d1']!r},{result['slope_d2']!r}"
         )
-    out.write_text("\n".join(lines) + "\n")
+    gridio.write_text(out, "\n".join(lines) + "\n")
     print(out)
     return 0
 
@@ -203,10 +200,8 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig()
         if args.config is not None:
-            try:
+            with gridio.io_errors("read config"):
                 text = Path(args.config).read_text()
-            except OSError as exc:
-                raise ValueError(f"cannot read config {args.config}: {exc.strerror or exc}") from exc
             cfg = RunConfig.from_dict(json.loads(text))
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)

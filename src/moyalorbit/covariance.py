@@ -27,6 +27,8 @@ from moyalorbit.grids import (
     forward_array,
     separable_waves,
     shift_batch,
+    shift_spectrum,
+    spectrum,
 )
 from moyalorbit.star import relative_l2, star_product
 
@@ -105,20 +107,26 @@ def tau_act(x, f: FiberedFunction) -> FiberedFunction:
     return _shifted(f, np.stack([t.matrix @ xi for t, xi in zip(f.sample.transforms, xs)]))
 
 
-def gamma_act(s: LorentzTransform, f: FiberedFunction, draw_size: int) -> FiberedFunction:
-    """(gamma_S F)(T, q) = F(T S^-1, q).
+def _right_translation_order(s: LorentzTransform, sample: GroupSample, draw_size: int) -> list:
+    """order[i] = the fiber of T_i S^-1, looked up in T_i's own draw.
 
     The fibers are consecutive draws of draw_size transforms each, and each
-    T S^-1 is looked up in T's own draw, which must contain it: draws may
-    share transforms, so a lookup in the whole stacked sample could pair
-    fibers of different draws.
+    draw must contain every T S^-1: draws may share transforms, so a lookup
+    in the whole stacked sample could pair fibers of different draws.
     """
     s_inv = s.inverse().matrix
-    transforms = f.sample.transforms
+    transforms = sample.transforms
     order = []
     for start in range(0, len(transforms), draw_size):
         draw = GroupSample(transforms[start : start + draw_size])
         order += [start + draw.index_of(t.matrix @ s_inv) for t in draw.transforms]
+    return order
+
+
+def gamma_act(s: LorentzTransform, f: FiberedFunction, draw_size: int) -> FiberedFunction:
+    """(gamma_S F)(T, q) = F(T S^-1, q), for fibers in draws of draw_size transforms
+    (see _right_translation_order)."""
+    order = _right_translation_order(s, f.sample, draw_size)
     return FiberedFunction(f.sample, f.spec, f.values[order])
 
 
@@ -165,13 +173,21 @@ def check_gamma_covariance(
     """Max-entry defect of tau_x gamma_S = gamma_S tau_Sx.
 
     x as in tau_act; the fibers are draws of draw_size transforms as in
-    gamma_act (default: one draw of the whole sample).
+    gamma_act (default: one draw of the whole sample).  Both sides shift the
+    permuted spectrum of f, since the transform of f[order] is the transform
+    of f, permuted: fiber i of the left side is f[order[i]] moved by T_i x_i,
+    and of the right side f[order[i]] moved by T_j S x_j with j = order[i].
     """
     xs = _points(x, f)
     draw_size = len(f.sample) if draw_size is None else draw_size
-    lhs = tau_act(xs, gamma_act(s, f, draw_size))
-    rhs = gamma_act(s, tau_act(np.stack([s.matrix @ xi for xi in xs]), f), draw_size)
-    return lhs.max_abs_diff(rhs)
+    order = _right_translation_order(s, f.sample, draw_size)
+    values_hat = spectrum(f.values, f.spec)[order]
+    transforms = f.sample.transforms
+    lhs_shifts = np.stack([t.matrix @ xi for t, xi in zip(transforms, xs)])
+    rhs_shifts = np.stack([transforms[j].matrix @ (s.matrix @ xs[j]) for j in order])
+    lhs = shift_spectrum(values_hat, f.spec, lhs_shifts)
+    rhs = shift_spectrum(values_hat, f.spec, rhs_shifts)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def fibered_star_product(

@@ -15,7 +15,8 @@ import numpy as np
 LORENTZ_TOL = 1e-12
 SKEW_DET_TOL = 1e-12
 STABILIZER_TOL = 1e-9  # max-entry tolerance of in_stabilizer
-PROJECTION_SWEEPS = 3  # Newton sweeps of _project_to_group
+PROJECTION_SWEEPS = 3  # Newton sweeps of to_group
+MAX_WORD = 8  # default longest word of random_lorentz and sample_orbit
 
 
 class DimensionError(ValueError):
@@ -156,8 +157,7 @@ def _time_axis(st: Spacetime) -> int:
     raise ValueError("metric has no +1 axis for a boost")
 
 
-def make_boost(st: Spacetime, axis: int, rapidity: float) -> LorentzTransform:
-    """Boost mixing the first +1 metric axis with the given -1 axis."""
+def _boost_matrix(st: Spacetime, axis: int, rapidity: float) -> np.ndarray:
     d = st.dim
     if not 0 <= axis < d:
         raise DimensionError(f"axis {axis} out of range for dim {d}")
@@ -170,11 +170,10 @@ def make_boost(st: Spacetime, axis: int, rapidity: float) -> LorentzTransform:
     m[axis, axis] = c
     m[t, axis] = s
     m[axis, t] = s
-    return LorentzTransform(m, st)
+    return m
 
 
-def make_rotation(st: Spacetime, plane: tuple, angle: float) -> LorentzTransform:
-    """Rotation in a coordinate plane whose two axes share a metric sign."""
+def _rotation_matrix(st: Spacetime, plane: tuple, angle: float) -> np.ndarray:
     i, j = plane
     d = st.dim
     if not (0 <= i < d and 0 <= j < d) or i == j:
@@ -187,30 +186,38 @@ def make_rotation(st: Spacetime, plane: tuple, angle: float) -> LorentzTransform
     m[j, j] = c
     m[i, j] = -s
     m[j, i] = s
-    return LorentzTransform(m, st)
+    return m
+
+
+def _reflection_matrix(st: Spacetime, sign: int) -> np.ndarray:
+    """diag(-1 on the axes whose metric entry is sign, +1 elsewhere)."""
+    return np.diag([-1.0 if m == sign else 1.0 for m in st.metric])
+
+
+def make_boost(st: Spacetime, axis: int, rapidity: float) -> LorentzTransform:
+    """Boost mixing the first +1 metric axis with the given -1 axis."""
+    return LorentzTransform(_boost_matrix(st, axis, rapidity), st)
+
+
+def make_rotation(st: Spacetime, plane: tuple, angle: float) -> LorentzTransform:
+    """Rotation in a coordinate plane whose two axes share a metric sign."""
+    return LorentzTransform(_rotation_matrix(st, plane, angle), st)
 
 
 def parity(st: Spacetime) -> LorentzTransform:
     """Reflection of all metric -1 axes."""
-    return LorentzTransform(np.diag([1.0 if m == 1 else -1.0 for m in st.metric]), st)
+    return LorentzTransform(_reflection_matrix(st, -1), st)
 
 
 def time_reversal(st: Spacetime) -> LorentzTransform:
     """Reflection of all metric +1 axes."""
-    return LorentzTransform(np.diag([-1.0 if m == 1 else 1.0 for m in st.metric]), st)
+    return LorentzTransform(_reflection_matrix(st, 1), st)
 
 
-def _project_to_group(m: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Newton sweeps toward T^t eta T = eta, removing accumulated roundoff."""
-    x = m.copy()
-    eta_inv = eta  # signature matrices are involutions
-    for _ in range(PROJECTION_SWEEPS):
-        x = 0.5 * (x + eta_inv @ np.linalg.inv(x).T @ eta)
-    return x
-
-
-def random_lorentz(st: Spacetime, rng: np.random.Generator, max_word: int = 8) -> LorentzTransform:
-    """A random word of length <= max_word in boosts, rotations and reflections."""
+def draw_word(st: Spacetime, rng: np.random.Generator, max_word: int) -> np.ndarray:
+    """The matrix of a random word of length <= max_word in boosts, rotations
+    and reflections: the letters multiplied as raw matrices, unprojected and
+    unvalidated (to_group finishes the words)."""
     d = st.dim
     spatial = [i for i, m in enumerate(st.metric) if m == -1]
     planes = [
@@ -224,13 +231,32 @@ def random_lorentz(st: Spacetime, rng: np.random.Generator, max_word: int = 8) -
     for _ in range(length):
         kind = rng.random()
         if kind < 0.4 and spatial:
-            g = make_boost(st, int(rng.choice(spatial)), float(rng.uniform(-1, 1)))
+            g = _boost_matrix(st, int(rng.choice(spatial)), float(rng.uniform(-1, 1)))
         elif kind < 0.9 and planes:
-            g = make_rotation(st, planes[int(rng.integers(len(planes)))], float(rng.uniform(0, 2 * np.pi)))
+            plane = planes[int(rng.integers(len(planes)))]
+            g = _rotation_matrix(st, plane, float(rng.uniform(0, 2 * np.pi)))
         else:
-            g = parity(st) if rng.random() < 0.5 else time_reversal(st)
-        m = g.matrix @ m
-    return LorentzTransform(_project_to_group(m, st.eta), st)
+            g = _reflection_matrix(st, -1 if rng.random() < 0.5 else 1)
+        m = g @ m
+    return m
+
+
+def to_group(st: Spacetime, words) -> list:
+    """The words as LorentzTransforms: PROJECTION_SWEEPS Newton sweeps toward
+    T^t eta T = eta on the stacked words, removing accumulated roundoff, then
+    one validation each."""
+    x = np.array(words, dtype=float).reshape(-1, st.dim, st.dim)
+    eta = st.eta  # a signature matrix is its own inverse
+    for _ in range(PROJECTION_SWEEPS):
+        x = 0.5 * (x + eta @ np.linalg.inv(x).transpose(0, 2, 1) @ eta)
+    return [LorentzTransform(m, st) for m in x]
+
+
+def random_lorentz(
+    st: Spacetime, rng: np.random.Generator, max_word: int = MAX_WORD
+) -> LorentzTransform:
+    """A random word of length <= max_word in boosts, rotations and reflections."""
+    return to_group(st, [draw_word(st, rng, max_word)])[0]
 
 
 def sample_orbit(
@@ -242,11 +268,8 @@ def sample_orbit(
     if sigma0 is None:
         sigma0 = standard_skew(st)
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        t = random_lorentz(st, rng)
-        out.append((t, act_on_form(t, sigma0)))
-    return out
+    transforms = to_group(st, [draw_word(st, rng, MAX_WORD) for _ in range(n)])
+    return [(t, act_on_form(t, sigma0)) for t in transforms]
 
 
 def q_form(sigma: SkewForm, alpha: np.ndarray, beta: np.ndarray) -> float:

@@ -1,13 +1,16 @@
-"""Grid binary format, typed JSON input values and the JSON output format.
+"""Grid binary format, typed JSON input values, the JSON output format and
+the file I/O of every command.
 
 The .moya format: a 16-byte header (magic "MOYA", u8 version, u8 dim,
 u16 N, f32 L, 4 pad bytes, all little-endian) followed by N^d complex
 float64 values, row-major.  A JSON sidecar <path>.json carries the grid
-spec, the skew form, and theta.
+spec, the skew form, and theta.  An OSError while reading or writing is a
+ValueError "cannot read|write PATH: reason" (io_errors).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from pathlib import Path
@@ -38,38 +41,74 @@ def json_value(kind, value, key: str):
     return kind(value)
 
 
+@contextlib.contextmanager
+def io_errors(verb: str):
+    """Turn an OSError inside into a ValueError "cannot VERB PATH: reason"."""
+    try:
+        yield
+    except OSError as exc:
+        where = "" if exc.filename is None else f" {exc.filename}"
+        raise ValueError(f"cannot {verb}{where}: {exc.strerror or exc}") from exc
+
+
+def make_dir(path) -> None:
+    """mkdir -p, an I/O error as io_errors gives it."""
+    with io_errors("write"):
+        Path(path).mkdir(parents=True, exist_ok=True)
+
+
+def write_text(path, text: str) -> None:
+    path = Path(path)
+    make_dir(path.parent)
+    with io_errors("write"):
+        path.write_text(text)
+
+
+def sidecar_path(path) -> Path:
+    """The JSON sidecar of a grid file: <path>.json."""
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".json")
+
+
 def json_text(data) -> str:
     """The text of every JSON output: sorted keys, indent 1, a final newline."""
     return json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
 def write_json(path, data) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_text(data))
+    write_text(path, json_text(data))
 
 
-def write_grid(path, f: GridFunction, sigma: SkewForm | None = None) -> None:
-    path = Path(path)
+def grid_sidecar(spec: GridSpec, sigma: SkewForm | None) -> dict:
+    """The sidecar write_grid writes: the spec, theta, and sigma if given."""
+    sidecar = {"dim": spec.dim, "n": spec.n, "length": spec.length, "theta": spec.theta}
+    if sigma is not None:
+        sidecar["sigma"] = sigma.to_json()
+    return sidecar
+
+
+def write_grid_file(path, f: GridFunction, sidecar: dict) -> None:
+    """The grid file and its sidecar, each written once."""
     spec = f.spec
     header = struct.pack(_HEADER, MAGIC, VERSION, spec.dim, spec.n, spec.length)
     data = np.ascontiguousarray(f.values, dtype="<c16").tobytes()
-    path.write_bytes(header + data)
-    sidecar = {
-        "dim": spec.dim,
-        "n": spec.n,
-        "length": spec.length,
-        "theta": spec.theta,
-    }
-    if sigma is not None:
-        sidecar["sigma"] = sigma.to_json()
-    path.with_suffix(path.suffix + ".json").write_text(json_text(sidecar))
+    with io_errors("write"):
+        Path(path).write_bytes(header + data)
+    write_text(sidecar_path(path), json_text(sidecar))
+
+
+def write_grid(path, f: GridFunction, sigma: SkewForm | None = None) -> None:
+    write_grid_file(path, f, grid_sidecar(f.spec, sigma))
 
 
 def read_grid(path) -> tuple:
-    """Returns (GridFunction, sigma-or-None)."""
+    """(GridFunction, sigma or None, sidecar): the sidecar object is parsed once
+    ({} without a sidecar), and a caller reads its own keys from it."""
     path = Path(path)
-    raw = path.read_bytes()
+    with io_errors("read"):
+        raw = path.read_bytes()
+        side = sidecar_path(path)
+        text = side.read_text() if side.exists() else None
     if len(raw) < 16:
         raise FormatError("file too short for a .moya header")
     magic, version, dim, n, length = struct.unpack(_HEADER, raw[:16])
@@ -79,9 +118,9 @@ def read_grid(path) -> tuple:
         raise FormatError(f"unsupported version {version}")
     theta = 1.0
     sigma = None
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    if sidecar_path.exists():
-        sidecar = json_value(dict, json.loads(sidecar_path.read_text()), "sidecar")
+    sidecar = {}
+    if text is not None:
+        sidecar = json_value(dict, json.loads(text), "sidecar")
         theta = json_value(float, sidecar.get("theta", 1.0), "sidecar theta")
         for key, value in (("dim", dim), ("n", n)):
             if json_value(int, sidecar.get(key, value), f"sidecar {key}") != value:
@@ -99,5 +138,5 @@ def read_grid(path) -> tuple:
     if len(raw) - 16 != 16 * count:
         raise FormatError(f"expected {16 * count} payload bytes, found {len(raw) - 16}")
     values = np.frombuffer(raw[16:], dtype="<c16")
-    return GridFunction(spec, values.reshape((n,) * dim).copy()), sigma
+    return GridFunction(spec, values.reshape((n,) * dim).copy()), sigma, sidecar
 

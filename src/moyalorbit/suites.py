@@ -22,12 +22,13 @@ from moyalorbit import weyl
 from moyalorbit.geometry import (
     SkewForm,
     Spacetime,
+    draw_word,
     parity,
     q_form,
-    random_lorentz,
     sample_orbit,
     standard_skew,
     time_reversal,
+    to_group,
 )
 from moyalorbit.gridio import json_value
 from moyalorbit.grids import GridSpec
@@ -211,7 +212,8 @@ def _stacked_passes(draws: list, spec: GridSpec):
 def suite_equivariance(cfg: RunConfig) -> dict:
     """Phi^alpha equivariance and tau-gamma covariance at roundoff scale.
 
-    Every draw is made first, Phi's then gamma's.  The Phi draws of one
+    Every draw is made first, Phi's then gamma's, and their 3 * DRAWS Lorentz
+    words are projected to the group in one stack.  The Phi draws of one
     covector alpha, and the gamma draws of one reflection S, then run as
     stacked FiberedFunction passes (_stacked_passes).  Each value is the
     largest defect over the draws, as one pass per draw gives it.
@@ -220,23 +222,32 @@ def suite_equivariance(cfg: RunConfig) -> dict:
     spec1d = GridSpec(dim=1, n=cfg.n, length=cfg.length, theta=cfg.theta)
     rng = np.random.default_rng(cfg.seed + 1)
     int_alphas = [np.array(a, dtype=float) for a in ((1, 0), (0, 1), (1, 1), (1, -1))]
-    phi_draws = []  # (alpha index, (t1, t2), psi on the line per fiber, x)
+    words = []  # every draw's words, in drawing order: 2 per Phi draw, then 1 per gamma draw
+    phi_items = []  # (alpha index, psi on the line per fiber, x)
     for _ in range(DRAWS):
-        transforms = tuple(random_lorentz(PLANE, rng, max_word=2) for _ in range(2))
+        words += [draw_word(PLANE, rng, 2) for _ in range(2)]
         c = float(rng.uniform(-0.3, 0.3))
         w = float(rng.uniform(0.9, 1.3))
         line = np.exp(-np.pi * (spec1d.axis() - c) ** 2 / w**2)
         alpha = int(rng.integers(len(int_alphas)))
         x = rng.uniform(-0.3, 0.3, 2)
-        phi_draws.append((alpha, transforms, (line, line), x))
-    reflections = [parity(PLANE), time_reversal(PLANE)]
-    gamma_draws = []  # (reflection index, (t, t S), a Gaussian per fiber, x)
+        phi_items.append((alpha, (line, line), x))
+    gamma_items = []  # (reflection index, a Gaussian per fiber, x)
     for _ in range(DRAWS):
-        t = random_lorentz(PLANE, rng, max_word=2)
+        words.append(draw_word(PLANE, rng, 2))
         k = int(rng.integers(2))
         gaussians = [_random_gaussian(spec.dim, rng) for _ in range(2)]
         x = rng.uniform(-0.3, 0.3, 2)
-        gamma_draws.append((k, (t, t.compose(reflections[k])), gaussians, x))
+        gamma_items.append((k, gaussians, x))
+    transforms = to_group(PLANE, words)
+    pairs = zip(transforms[: 2 * DRAWS : 2], transforms[1 : 2 * DRAWS : 2])
+    # (alpha index, (t1, t2), lines, x) and (reflection index, (t, t S), gaussians, x)
+    phi_draws = [(a, pair, lines, x) for pair, (a, lines, x) in zip(pairs, phi_items)]
+    reflections = [parity(PLANE), time_reversal(PLANE)]
+    gamma_draws = [
+        (k, (t, t.compose(reflections[k])), gaussians, x)
+        for t, (k, gaussians, x) in zip(transforms[2 * DRAWS :], gamma_items)
+    ]
     worst_phi = 0.0
     for alpha, sample, lines, xs in _stacked_passes(phi_draws, spec):
         psi = cov.FiberedFunction(sample, spec1d, lines)

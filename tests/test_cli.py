@@ -81,8 +81,8 @@ def test_gauss_star_oracle_pipeline_d4(tmp_path):
     summary = json.loads((out / "star_summary.json").read_text())
 
     run = RunConfig.from_dict(cfg_dict)
-    f, sigma = read_grid(paths["f"])
-    g, _ = read_grid(paths["g"])
+    f, sigma, _ = read_grid(paths["f"])
+    g, _, _ = read_grid(paths["g"])
     assert f.spec.dim == 4 and np.array_equal(sigma.matrix, run.base_form().matrix)
     gaussians = [
         SeparableGaussian(tuple(GaussianFactor(*map(float, s.split(","))) for s in specs))
@@ -538,3 +538,47 @@ def test_only_gridio_formats_json():
     }
     assert {name: lines for name, lines in offenders.items() if lines} == {}
     assert _json_dumps_calls((package / "gridio.py").read_text())
+
+
+def test_missing_grid_file_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "nope.moya")
+    assert main(["star", missing, missing, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["orbit", "gauss", "star", "verify", "sweep"])
+def test_unwritable_out_error_line(tmp_path, capsys, command):
+    # every command names the path it could not write and the reason, as the config reader does
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    f_path, g_path = _gauss_pair(tmp_path, cfg)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = str(blocker / "x")
+    argv = {
+        "orbit": ["orbit", "-n", "2"],
+        "gauss": ["gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"],
+        "star": ["star", str(f_path), str(g_path)],
+        "verify": ["verify", "--suite", "weyl"],
+        "sweep": ["sweep", "--theta", "1.0,0.5"],
+    }[command]
+    capsys.readouterr()
+    assert main(["--config", cfg, *argv, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+
+
+def test_gauss_writes_its_sidecar_once_and_star_parses_each_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    written, parsed = [], []
+    write_text, loads = Path.write_text, json.loads
+    monkeypatch.setattr(
+        Path, "write_text", lambda p, *a, **k: written.append(p.name) or write_text(p, *a, **k)
+    )
+    monkeypatch.setattr(json, "loads", lambda text, *a, **k: parsed.append(text) or loads(text))
+    f_path, g_path = _gauss_pair(tmp_path, cfg)
+    assert written.count("f.moya.json") == 1 and written.count("g.moya.json") == 1
+    sidecars = {p.with_suffix(".moya.json").read_text() for p in (f_path, g_path)}
+    parsed.clear()
+    argv = ["--config", cfg, "star", str(f_path), str(g_path), "--oracle"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    assert sum(text in sidecars for text in parsed) == 2  # the config is the other parse
+    assert len(parsed) == 3

@@ -324,3 +324,58 @@ def test_gamma_covariance_fails_with_s_in_place_of_its_inverse_at_d4(monkeypatch
     assert cov.check_gamma_covariance(r, x, f) <= suites.TOLERANCES["gamma_covariance"]
     monkeypatch.setattr(LorentzTransform, "inverse", lambda self: self)
     assert cov.check_gamma_covariance(r, x, f) > 0.1
+
+
+def two_pass_gamma_covariance(s, x, f, draw_size=None):
+    """tau_x gamma_S F against gamma_S tau_Sx F, each side with its own
+    transforms and lookups: the reference of the one-spectrum check."""
+    xs = np.broadcast_to(np.asarray(x, dtype=float), (len(f.sample), f.spec.dim))
+    draw_size = len(f.sample) if draw_size is None else draw_size
+    lhs = cov.tau_act(xs, cov.gamma_act(s, f, draw_size))
+    rhs = cov.gamma_act(s, cov.tau_act(np.stack([s.matrix @ xi for xi in xs]), f), draw_size)
+    return lhs.max_abs_diff(rhs)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 4001])
+def test_one_spectrum_gamma_check_equals_the_two_pass_check(monkeypatch, seed):
+    # every stacked gamma pass of the suite, checked both ways
+    passes = []
+    check = cov.check_gamma_covariance
+
+    def recording(s, x, f, draw_size=None):
+        value = check(s, x, f, draw_size)
+        passes.append((value, two_pass_gamma_covariance(s, x, f, draw_size)))
+        return value
+
+    monkeypatch.setattr(cov, "check_gamma_covariance", recording)
+    suites.suite_equivariance(suites.RunConfig(seed=seed))
+    assert len(passes) >= 2
+    assert all(value == reference for value, reference in passes)
+
+
+def test_one_spectrum_gamma_check_equals_the_two_pass_check_at_d4():
+    # the d=4 draw {t, tR, tR^2, tR^3}, where S and S^-1 differ
+    spec = GridSpec(dim=4, n=8, length=8.0)
+    r = LorentzTransform(np.round(make_rotation(ST4, (1, 2), np.pi / 2).matrix), ST4)
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(2):
+        draws.append(random_lorentz(ST4, rng, max_word=2))
+        for _ in range(3):
+            draws.append(draws[-1].compose(r))
+    envelope = np.exp(-np.pi * np.sum(spec.mesh() ** 2, axis=0) / 4)
+    fibers = rng.normal(size=(8,) + (8,) * 4) * envelope
+    f = cov.FiberedFunction(cov.GroupSample(tuple(draws)), spec, fibers)
+    xs = np.repeat(rng.uniform(-0.3, 0.3, (2, 4)), 4, axis=0)
+    value = cov.check_gamma_covariance(r, xs, f, 4)
+    assert value == two_pass_gamma_covariance(r, xs, f, 4)
+    assert value <= suites.TOLERANCES["gamma_covariance"]
+
+
+def test_equivariance_suite_projects_its_words_in_one_stack(monkeypatch):
+    # 3 * DRAWS words, PROJECTION_SWEEPS inversions of the whole stack
+    shapes = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(np.shape(a)) or inv(a))
+    suites.suite_equivariance(suites.RunConfig())
+    assert shapes == [(3 * suites.DRAWS, 2, 2)] * 3

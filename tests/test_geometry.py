@@ -9,6 +9,7 @@ from moyalorbit.geometry import (
     SkewForm,
     Spacetime,
     act_on_form,
+    draw_word,
     in_stabilizer,
     make_boost,
     make_rotation,
@@ -20,6 +21,7 @@ from moyalorbit.geometry import (
     skewize,
     standard_skew,
     time_reversal,
+    to_group,
 )
 
 ST4 = Spacetime(4, (1, -1, -1, -1))
@@ -155,3 +157,60 @@ def test_skew_scaled_and_zero():
     assert not np.any(SkewForm.zero(4).matrix)
     with pytest.raises(ValueError):
         SkewForm.zero(4).assert_invertible()
+
+
+def per_letter_random_lorentz(st, rng, max_word=8):
+    """The sampler as one validated LorentzTransform per letter and one
+    projection per word: the reference of the stacked sampler."""
+    d = st.dim
+    spatial = [i for i, m in enumerate(st.metric) if m == -1]
+    planes = [(i, j) for i in range(d) for j in range(i + 1, d) if st.metric[i] == st.metric[j]]
+    length = int(rng.integers(1, max_word + 1))
+    m = np.eye(d)
+    for _ in range(length):
+        kind = rng.random()
+        if kind < 0.4 and spatial:
+            g = make_boost(st, int(rng.choice(spatial)), float(rng.uniform(-1, 1)))
+        elif kind < 0.9 and planes:
+            plane = planes[int(rng.integers(len(planes)))]
+            g = make_rotation(st, plane, float(rng.uniform(0, 2 * np.pi)))
+        else:
+            g = parity(st) if rng.random() < 0.5 else time_reversal(st)
+        m = g.matrix @ m
+    x = m.copy()
+    for _ in range(3):
+        x = 0.5 * (x + st.eta @ np.linalg.inv(x).T @ st.eta)
+    return LorentzTransform(x, st)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 4001])
+@pytest.mark.parametrize("st, max_word", [(ST2, 2), (ST4, 8)], ids=["d2", "d4"])
+def test_stacked_sampler_equals_the_per_letter_sampler(st, max_word, seed):
+    one, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        t = random_lorentz(st, one, max_word=max_word)
+        assert np.array_equal(t.matrix, per_letter_random_lorentz(st, ref, max_word).matrix)
+    rng = np.random.default_rng(seed)
+    words = to_group(st, [draw_word(st, rng, max_word) for _ in range(50)])
+    ref = np.random.default_rng(seed)
+    for t in words:
+        assert np.array_equal(t.matrix, per_letter_random_lorentz(st, ref, max_word).matrix)
+    # the generator is left where the per-letter sampler leaves it
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 11, 4001, 20260])
+def test_sample_orbit_equals_the_per_letter_sampler(seed):
+    # seed 20260 and n = 64: the d=4 benchmark catalogue's forms, whose inputs
+    # are checked against recorded ones, so every bit counts
+    sigma = standard_skew(ST4)
+    rng = np.random.default_rng(seed)
+    for t, s in sample_orbit(ST4, 64, seed, sigma):
+        ref = per_letter_random_lorentz(ST4, rng)
+        assert np.array_equal(t.matrix, ref.matrix)
+        assert np.array_equal(s.matrix, act_on_form(ref, sigma).matrix)
+
+
+def test_to_group_validates_each_word():
+    with pytest.raises(ValueError, match="not a Lorentz transform"):
+        to_group(ST2, [np.eye(2), np.diag([2.0, 0.5])])

@@ -24,7 +24,7 @@ def test_grid_roundtrip_exact(tmp_path):
     f = random_grid()
     path = tmp_path / "f.moya"
     gridio.write_grid(path, f, PLANE)
-    g, sigma = gridio.read_grid(path)
+    g, sigma, _ = gridio.read_grid(path)
     assert g.spec == f.spec
     np.testing.assert_array_equal(g.values, f.values)
     np.testing.assert_array_equal(sigma.matrix, PLANE.matrix)
@@ -34,7 +34,7 @@ def test_grid_roundtrip_without_sigma(tmp_path):
     f = random_grid(seed=1)
     path = tmp_path / "f.moya"
     gridio.write_grid(path, f)
-    _, sigma = gridio.read_grid(path)
+    _, sigma, _ = gridio.read_grid(path)
     assert sigma is None
 
 
@@ -43,7 +43,7 @@ def test_grid_roundtrip_keeps_exact_length(tmp_path):
     f = GridFunction(spec, np.arange(64.0).reshape(8, 8))
     path = tmp_path / "f.moya"
     gridio.write_grid(path, f)
-    g, _ = gridio.read_grid(path)
+    g, _, _ = gridio.read_grid(path)
     assert g.spec == spec
     assert g.spec.length == 8.3
 

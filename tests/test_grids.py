@@ -17,7 +17,9 @@ from moyalorbit.grids import (
     separable_waves,
     shift,
     shift_batch,
+    shift_spectrum,
     spectral_gradient,
+    spectrum,
     swap_halves,
 )
 
@@ -135,6 +137,33 @@ def test_shift_batch_of_stacked_functions_matches_shift_bit_for_bit():
     batch = shift_batch(values, spec, shifts)
     for row, v, s in zip(batch, values, shifts):
         assert np.array_equal(row, shift(GridFunction(spec, v), s).values)
+
+
+def rolled_shift_batch(values, spec, shifts):
+    """The shift with the centering rolls around it: the reference of the
+    roll-free shift_batch."""
+    axes = tuple(range(-spec.dim, 0))
+    values_hat = np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes)
+    ramp = separable_waves(shifts, np.fft.ifftshift(spec.dual_axis()))
+    np.multiply(values_hat, ramp, out=ramp)
+    return np.fft.fftshift(np.fft.ifftn(ramp, axes=axes), axes=axes)
+
+
+@pytest.mark.parametrize("dim, n, m", [(1, 64, 7), (2, 8, 3), (2, 64, 32), (3, 16, 4)])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-f", "f-per-shift"])
+def test_roll_free_shift_batch_matches_the_rolled_route_bit_for_bit(dim, n, m, stacked):
+    # a translation commutes with the half-swap of every axis
+    spec = GridSpec(dim=dim, n=n, length=8.0)
+    rng = np.random.default_rng(dim * n + m)
+    shape = ((m,) if stacked else ()) + (n,) * dim
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    shifts = rng.normal(scale=2.0, size=(m, dim))
+    out = shift_batch(values, spec, shifts)
+    assert np.array_equal(out, rolled_shift_batch(values, spec, shifts))
+    values_hat = spectrum(values, spec)
+    kept = values_hat.copy()
+    assert np.array_equal(shift_spectrum(values_hat, spec, shifts), out)
+    assert np.array_equal(values_hat, kept)  # the spectrum serves more than one shift
 
 
 def test_spectral_gradient_of_gaussian():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from moyalorbit import covariance as cov
-from moyalorbit import grids, operators, star
+from moyalorbit import grids, operators, star, suites
 from moyalorbit.geometry import SkewForm, Spacetime, make_boost
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
@@ -83,3 +83,20 @@ def test_tracer_counts_one_slabbed_dense_build(monkeypatch):
     assert tracer.counts["operators.matrix_bytes"] == side**2 * 16
     # every k shifted exactly once across the slabs
     assert tracer.counts["grids.ramp_entries"] == side * spec.size
+
+
+def test_traced_equivariance_suite_reports_as_untraced():
+    # the suite's traced layers: the sampler names, the actions and shift_batch
+    untraced = suites.suite_equivariance(suites.RunConfig())
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        traced = suites.suite_equivariance(suites.RunConfig())
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    summary = tracer.summary()
+    assert summary["grids.shift_batch"]["calls"] > 0
+    assert summary["covariance.tau_act"]["calls"] == summary["grids.shift_batch"]["calls"] // 2
+    assert tracer.counts["grids.ramp_entries"] > 0
