@@ -6,7 +6,7 @@ Modules:
     grids       -- periodic grids, centered FFT conventions, band-limited shifts
     gridio      -- the .moya grid file format and its JSON sidecar
     star        -- FFT star product, Weyl action, commutators, semiclassical sweep
-    operators   -- left-regular operator matrices, their Heisenberg blocks, the C*-check
+    operators   -- Heisenberg blocks of L_f and their apply; the dense L_f as reference
     oracle      -- closed-form star product of separable Gaussians, any d and sigma
     covariance  -- fibered functions over group samples and the group actions
     suites      -- named verification suites and their run configuration

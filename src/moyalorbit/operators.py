@@ -22,9 +22,14 @@ alpha on the dual lattice and the twist c = theta s N / L^2.  At closed twist
 shift of the frequency index a_1 and leaves the class r = (x_2 - c a_1) mod N
 of every row and column fixed.  So (F x I) L_f (F x I)^H is block diagonal:
 N blocks B_r of side N, indexed by a_1, whose singular values, products,
-adjoints and spectra are those of L_f.  heisenberg_blocks reads them off the
-dense matrix, one slab of rows x_2 at a time; left_regular_blocks builds them
-from f in O(N^3).
+adjoints and spectra are those of L_f.  left_regular_blocks builds them from
+f in O(N^3), and apply_blocks applies them to a grid vector, so the cstar
+suite checks the blocks against the product with no N^2 x N^2 matrix.
+
+The dense build stays for two readers: the tests take it as the reference
+for the blocks, and the benchmark's span tracer wraps
+build_left_regular_matrix, OperatorMatrix.spectral_norm and
+cstar_identity_check by name.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from moyalorbit.grids import (
 from moyalorbit.star import involution, star_product
 
 MAX_SIDE = 4096
-# Entries per slab of the dense build and of the block read-out: the working
-# set beyond the matrix stays bounded, and the sums run in a fixed order.
+# Entries per slab of the dense build: the working set beyond the matrix
+# stays bounded, and the sums run in a fixed order.
 _SLAB_ENTRIES = 2**16
 
 
@@ -111,40 +116,8 @@ def _closed_twist(spec: GridSpec, sigma: SkewForm) -> int:
     return round(c)
 
 
-def heisenberg_blocks(op: OperatorMatrix) -> tuple:
-    """The N blocks of L_f at closed twist, and the off-block share.
-
-    Returns (blocks, defect): blocks[r, a_1, b_1] is the entry of
-    (F x I) L_f (F x I)^H at rows (a_1, r + c a_1) and columns
-    (b_1, r + c b_1), second index mod N, with F the unitary DFT on the first
-    axis; defect is the Frobenius share of that matrix outside the blocks.
-    Raises ValueError when the twist c is not an integer.
-    """
-    c = _closed_twist(op.spec, op.sigma)
-    n = op.spec.n
-    matrix = op.matrix.reshape(n, n, n, n)
-    a = np.arange(n)
-    x2 = (a[:, None] + c * a[None, :]) % n  # [r, a_1]
-    blocks = np.empty((n, n, n), dtype=complex)
-    width = max(1, _SLAB_ENTRIES // n**3)
-    total = off_block = 0.0
-    for start in range(0, n, width):
-        # the rows x_2 in [start, start + width), transformed: per x_1 one contiguous run
-        b = unitary_dft(matrix[:, start : start + width], axis=0, inverse=False)
-        b = unitary_dft(b, axis=2, inverse=True)
-        r, a1 = np.nonzero((x2 >= start) & (x2 < start + width))  # row classes in the slab
-        index = (a1[:, None], x2[r, a1][:, None] - start, a[None, :], x2[r])
-        blocks[r, a1] = b[index]
-        # pairwise sums, not a BLAS dot, so the share does not depend on threads
-        total += np.sum(np.abs(b) ** 2)
-        b[index] = 0.0
-        off_block += np.sum(np.abs(b) ** 2)
-    defect = float(np.sqrt(off_block / total)) if total else 0.0
-    return blocks, defect
-
-
 def left_regular_blocks(h: GridFunction, sigma: SkewForm) -> np.ndarray:
-    """heisenberg_blocks(build_left_regular_matrix(h, sigma))[0], built from h alone.
+    """The N Heisenberg blocks of L_h at closed twist, built from h alone.
 
     After the unitary DFT on the first axis, u_alpha (alpha = p_m) moves the
     frequency index b to b + m_1' and x_2 by c m_1', with a phase
@@ -168,11 +141,24 @@ def left_regular_blocks(h: GridFunction, sigma: SkewForm) -> np.ndarray:
     return g[m1, x2] * ((-1.0) ** ab / n)
 
 
-def apply_operator(op: OperatorMatrix, eta: GridFunction) -> GridFunction:
-    if eta.spec != op.spec:
-        raise ValueError("grid specs do not match")
-    out = op.matrix @ eta.values.reshape(-1)
-    return GridFunction(op.spec, out.reshape(eta.values.shape))
+def apply_blocks(blocks: np.ndarray, eta: GridFunction, sigma: SkewForm) -> GridFunction:
+    """L_h eta from the blocks of L_h (left_regular_blocks(h, sigma)), O(N^3).
+
+    The unitary DFT of eta on the first axis, then per class r the vector
+    v_r[b] = v[b, (r + c b) mod N] times the block B_r, scattered back to the
+    same entries, then the inverse DFT.  Raises ValueError when the twist is
+    open or the blocks do not fit the grid.
+    """
+    c = _closed_twist(eta.spec, sigma)
+    n = eta.spec.n
+    if blocks.shape != (n, n, n):
+        raise ValueError(f"blocks must be {n} x {n} x {n}")
+    a = np.arange(n)
+    index = (a[None, :], (a[:, None] + c * a[None, :]) % n)  # [r, a_1] -> (a_1, x_2)
+    v = unitary_dft(eta.values, axis=0, inverse=False)
+    w = np.empty_like(v)
+    w[index] = (blocks @ v[index][..., None])[..., 0]
+    return GridFunction(eta.spec, unitary_dft(w, axis=0, inverse=True))
 
 
 def cstar_identity_check(f: GridFunction, sigma: SkewForm) -> dict:

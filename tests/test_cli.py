@@ -333,9 +333,9 @@ def test_misspelled_tolerance_is_usage_error(tmp_path, capsys):
 
 
 def test_block_structure_bound_is_not_a_tolerance_key(tmp_path, capsys):
-    # block_structure sits in the pinned table, but no config can reach it
-    assert suites.TOLERANCES["block_structure"] == 1e-12
-    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"block_structure": 1.0}})
+    # blocks_product sits in the pinned table, but no config can reach it
+    assert suites.TOLERANCES["blocks_product"] == 1e-12
+    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"blocks_product": 1.0}})
     rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
     assert rc == 2
     assert "'tolerances'" in capsys.readouterr().err

@@ -20,10 +20,9 @@ from moyalorbit.grids import (
 )
 from moyalorbit.operators import (
     OperatorMatrix,
-    apply_operator,
+    apply_blocks,
     build_left_regular_matrix,
     cstar_identity_check,
-    heisenberg_blocks,
     left_regular_blocks,
     twist,
 )
@@ -60,7 +59,13 @@ def reference_build(f, sigma):
 
 
 def reference_heisenberg_blocks(op):
-    """The blocks and off-block share, read off the whole transformed matrix at once."""
+    """The blocks and off-block share of a dense L_f, read off the whole transformed matrix.
+
+    The dense reference for left_regular_blocks: blocks[r, a_1, b_1] is the
+    entry of (F x I) L_f (F x I)^H at rows (a_1, r + c a_1) and columns
+    (b_1, r + c b_1), second index mod N, with F the unitary DFT on the first
+    axis; the share is the Frobenius share of that matrix outside the blocks.
+    """
     c = round(twist(op.spec, op.sigma))
     n = op.spec.n
     b = unitary_dft(op.matrix.reshape(n, n, n, n), axis=0, inverse=False)
@@ -72,14 +77,6 @@ def reference_heisenberg_blocks(op):
     total = np.sum(np.abs(b) ** 2)
     b[index] = 0.0
     return blocks, float(np.sqrt(np.sum(np.abs(b) ** 2) / total))
-
-
-def assert_blocks_match_reference(op):
-    # the blocks are the same entries; the share sums in another order
-    blocks, defect = heisenberg_blocks(op)
-    ref_blocks, ref_defect = reference_heisenberg_blocks(op)
-    assert np.array_equal(blocks, ref_blocks)
-    assert abs(defect - ref_defect) <= 1e-14 * ref_defect
 
 
 def gaussians(spec):
@@ -102,7 +99,8 @@ def test_apply_matches_star_product(theta, s):
     sigma = PLANE.scaled(s)
     op = build_left_regular_matrix(f, sigma)
     direct = star_product(f, g, sigma)
-    assert (apply_operator(op, g) - direct).max_abs() < 1e-11
+    out = op.matrix @ g.values.reshape(-1)
+    assert np.max(np.abs(out.reshape(g.values.shape) - direct.values)) < 1e-11
 
 
 def test_unit_function_gives_identity_matrix():
@@ -170,11 +168,11 @@ def test_operator_matrix_shape_guard():
 
 
 def test_suite_cstar_takes_five_spectral_norms(monkeypatch):
-    # one dense build, L_f, the spot check of the direct blocks; the five
-    # norms ||L_f||, ||L_g||, ||L_{f* x f}|| and the two defects, and the
-    # positivity spectrum, come from the 32 Heisenberg blocks of side 32 that
-    # left_regular_blocks builds straight from each h: no SVD, 2-norm or
-    # eigvalsh of a 1024 x 1024 matrix
+    # no dense build: the five norms ||L_f||, ||L_g||, ||L_{f* x f}|| and the
+    # two defects, the positivity spectrum and the check against the product
+    # come from the 32 Heisenberg blocks of side 32 that left_regular_blocks
+    # builds straight from each h: no SVD, 2-norm or eigvalsh of a
+    # 1024 x 1024 matrix
     side = 32
     calls = {"norm": [], "svd": [], "eigvalsh": [], "build": 0}
 
@@ -187,16 +185,16 @@ def test_suite_cstar_takes_five_spectral_norms(monkeypatch):
 
     for name in ("norm", "svd", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    build = suites.build_left_regular_matrix
+    build = operators.build_left_regular_matrix
 
     def counting_build(*args, **kwargs):
         calls["build"] += 1
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(suites, "build_left_regular_matrix", counting_build)
+    monkeypatch.setattr(operators, "build_left_regular_matrix", counting_build)
     rep = suite_cstar(RunConfig())
     assert rep["pass"]
-    assert calls["build"] == 1
+    assert calls["build"] == 0
     assert calls["norm"] == []
     assert calls["svd"] == [(side, side, side)] * 5
     assert calls["eigvalsh"] == [(side, side, side)]
@@ -221,12 +219,13 @@ def test_heisenberg_blocks_carry_the_spectrum(n, c):
     spec, sigma = twisted(n, c)
     f, _ = gaussians(spec)
     op = build_left_regular_matrix(f, sigma)
-    blocks, defect = heisenberg_blocks(op)
-    assert blocks.shape == (n, n, n)
+    dense, defect = reference_heisenberg_blocks(op)
     assert defect <= 1e-13
-    block_sv = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
     dense_sv = np.linalg.svd(op.matrix, compute_uv=False)
-    assert np.max(np.abs(block_sv - dense_sv)) <= 1e-13 * dense_sv[0]
+    for blocks in (dense, left_regular_blocks(f, sigma)):
+        assert blocks.shape == (n, n, n)
+        block_sv = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
+        assert np.max(np.abs(block_sv - dense_sv)) <= 1e-13 * dense_sv[0]
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -234,10 +233,22 @@ def test_heisenberg_blocks_carry_the_spectrum(n, c):
 def test_direct_blocks_match_the_dense_blocks(n, c):
     spec, sigma = twisted(n, c)
     h = random_grid(spec, 100 * n + c)
-    dense = heisenberg_blocks(build_left_regular_matrix(h, sigma))[0]
+    dense = reference_heisenberg_blocks(build_left_regular_matrix(h, sigma))[0]
     direct = left_regular_blocks(h, sigma)
     assert direct.shape == (n, n, n)
     assert np.max(np.abs(direct - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("c", [-3, -1, 1, 2, 3])
+def test_block_apply_matches_the_star_product(n, c):
+    # full-band h and eta, Nyquist rows and columns included: L_h eta applied
+    # through the direct blocks is the lattice product h * eta
+    spec, sigma = twisted(n, c)
+    h, eta = random_grid(spec, 100 * n + c), random_grid(spec, 7 * n - c)
+    direct = star_product(h, eta, sigma)
+    out = apply_blocks(left_regular_blocks(h, sigma), eta, sigma)
+    assert (out - direct).max_abs() <= 1e-13 * direct.max_abs()
 
 
 @pytest.mark.parametrize("s", [1.0, -1.0, 0.0])
@@ -251,48 +262,59 @@ def test_slabbed_build_matches_the_one_shot_build(n, closed, s):
     assert np.array_equal(out, reference_build(f, PLANE.scaled(s)))
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
-@pytest.mark.parametrize("c", [-3, -1, 1, 2, 3])
-def test_slabbed_blocks_match_the_whole_matrix_blocks(n, c):
-    spec, sigma = twisted(n, c)
-    assert_blocks_match_reference(build_left_regular_matrix(random_grid(spec, 10 * n + c), sigma))
-
-
 def test_short_last_slab_matches_the_reference(monkeypatch):
-    # 48 k rows per build slab (256 = 5 * 48 + 16) and 3 x_2 rows per block
-    # slab (16 = 5 * 3 + 1): several slabs, the last one short
+    # 48 k rows per build slab (256 = 5 * 48 + 16): several slabs, the last one short
     spec, sigma = twisted(16, 2)
-    monkeypatch.setattr(operators, "_SLAB_ENTRIES", 3 * spec.n**3)
+    monkeypatch.setattr(operators, "_SLAB_ENTRIES", 48 * spec.size)
     f = random_grid(spec, 7)
-    op = build_left_regular_matrix(f, sigma)
-    assert np.array_equal(op.matrix, reference_build(f, sigma))
-    assert_blocks_match_reference(op)
+    assert np.array_equal(build_left_regular_matrix(f, sigma).matrix, reference_build(f, sigma))
 
 
 def test_dense_spot_check_holds_the_matrix_plus_one_slab():
-    # the one-shot build peaked at four matrices, the whole-matrix blocks at three
+    # the one-shot build peaked at four matrices
     spec = closed_spec(32)
     f, _ = gaussians(spec)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        heisenberg_blocks(build_left_regular_matrix(f, PLANE))
+        build_left_regular_matrix(f, PLANE)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * spec.size**2 * 16
 
 
+def test_suite_cstar_peaks_under_8_mib():
+    # matrix-free: five sets of 32 blocks of side 32 (0.5 MiB each) and a few
+    # N=32 grids; one dense L_f alone is 16 MiB
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        suite_cstar(RunConfig())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 def test_heisenberg_blocks_reject_open_twist():
     # the spec of test_open_twist_breaks_representation: theta n / L^2 = 1/4;
-    # the dense and the direct block builders alike
+    # the block builder and the block apply alike
     spec = GridSpec(dim=2, n=16, length=8.0, theta=1.0)
-    f, _ = gaussians(spec)
-    with pytest.raises(ValueError):
-        heisenberg_blocks(build_left_regular_matrix(f, PLANE))
+    f, g = gaussians(spec)
     with pytest.raises(ValueError):
         left_regular_blocks(f, PLANE)
+    with pytest.raises(ValueError):
+        apply_blocks(np.zeros((16, 16, 16), dtype=complex), g, PLANE)
+
+
+def test_block_apply_rejects_blocks_of_another_grid():
+    spec, sigma = twisted(16, 1)
+    blocks = left_regular_blocks(random_grid(twisted(8, 1)[0], 1), sigma)
+    with pytest.raises(ValueError):
+        apply_blocks(blocks, random_grid(spec, 2), sigma)
 
 
 gaussian_factor = st.builds(
@@ -311,8 +333,9 @@ def test_apply_matches_star_product_property(theta, s, factors):
     f, g = (SeparableGaussian(pair).sample(spec) for pair in factors)
     sigma = PLANE.scaled(s)
     direct = star_product(f, g, sigma)
-    out = apply_operator(build_left_regular_matrix(f, sigma), g)
-    assert (out - direct).max_abs() <= 1e-11 * max(direct.max_abs(), 1.0)
+    out = build_left_regular_matrix(f, sigma).matrix @ g.values.reshape(-1)
+    gap = np.max(np.abs(out.reshape(g.values.shape) - direct.values))
+    assert gap <= 1e-11 * max(direct.max_abs(), 1.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,46 +346,68 @@ def test_blockwise_homomorphism_at_integer_twist(c, factors):
     fg = star_product(f, g, sigma)
     # every example runs both block builders: blocks of the dense matrix, and direct
     for blocks_of in (
-        lambda h: heisenberg_blocks(build_left_regular_matrix(h, sigma))[0],
+        lambda h: reference_heisenberg_blocks(build_left_regular_matrix(h, sigma))[0],
         lambda h: left_regular_blocks(h, sigma),
     ):
         bf, bg, bfg = (blocks_of(h) for h in (f, g, fg))
         assert block_norm(bfg - bf @ bg) <= 1e-11 * block_norm(bf) * block_norm(bg)
 
 
-def transposed_form(build, f, sigma):
-    return OperatorMatrix(build(f, SkewForm(sigma.matrix.T)).matrix, f.spec, sigma)
+def stretched_theta(monkeypatch):
+    # every product of the suite at theta (1 + 1e-6), labelled with its own grid
+    product = suites.star_product
+
+    def mutated(f, g, sigma):
+        spec = f.spec.with_theta(f.spec.theta * (1 + 1e-6))
+        out = product(GridFunction(spec, f.values), GridFunction(spec, g.values), sigma)
+        return GridFunction(f.spec, out.values)
+
+    monkeypatch.setattr(suites, "star_product", mutated)
 
 
-def stretched_theta(build, f, sigma):
-    g = GridFunction(f.spec.with_theta(f.spec.theta * (1 + 1e-6)), f.values)
-    return OperatorMatrix(build(g, sigma).matrix, f.spec, sigma)
+def twist_off_by_one(monkeypatch):
+    # the apply reads the twist c + 1; the blocks are built at c
+    apply, closed = suites.apply_blocks, operators._closed_twist
+
+    def mutated(blocks, eta, sigma):
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_closed_twist", lambda spec, s: closed(spec, s) + 1)
+            return apply(blocks, eta, sigma)
+
+    monkeypatch.setattr(suites, "apply_blocks", mutated)
 
 
-def dropped_nyquist(build, f, sigma):
-    fhat = forward_array(f.values, f.spec)
-    fhat[0] = 0.0  # the first-axis Nyquist row of the centered spectrum
-    return build(GridFunction(f.spec, inverse_array(fhat, f.spec)), sigma)
+def dropped_nyquist(axis):
+    def mutation(monkeypatch):
+        # every block built from h with its Nyquist row (axis 0) or column
+        # (axis 1) of the centered spectrum dropped
+        blocks = suites.left_regular_blocks
+
+        def mutated(h, sigma):
+            hhat = forward_array(h.values, h.spec)
+            hhat[(slice(None),) * axis + (0,)] = 0.0
+            return blocks(GridFunction(h.spec, inverse_array(hhat, h.spec)), sigma)
+
+        monkeypatch.setattr(suites, "left_regular_blocks", mutated)
+
+    return mutation
 
 
 @pytest.mark.parametrize(
-    "mutation, failing",
+    "mutate, failing",
     [
-        # values at seed 0: block_structure_defect 0.87, dense_blocks_match 1.0
-        (transposed_form, {"block_structure_defect", "dense_blocks_match"}),
-        # 2.9e-6 and 4.6e-6
-        (stretched_theta, {"block_structure_defect", "dense_blocks_match"}),
-        # the off-block share stays at roundoff; dense_blocks_match 4.3e-11
-        (dropped_nyquist, {"dense_blocks_match"}),
+        # values of blocks_match_product at seed 0 in the comments
+        pytest.param(stretched_theta, {"blocks_match_product"}, id="stretched_theta"),  # 5.4e-6
+        pytest.param(twist_off_by_one, {"blocks_match_product"}, id="twist_off_by_one"),  # 2.3
+        # 2.7e-11 and 9.4e-11: the other checks stay under their bounds
+        pytest.param(dropped_nyquist(0), {"blocks_match_product"}, id="dropped_nyquist_row"),
+        pytest.param(dropped_nyquist(1), {"blocks_match_product"}, id="dropped_nyquist_column"),
     ],
 )
-def test_spot_check_fails_on_a_mutated_dense_build(mutation, failing, monkeypatch):
-    # negative controls: a dense L_f built with the wrong form, theta or f,
-    # labelled with the suite's own spec and form, must fail the spot check
-    build = suites.build_left_regular_matrix
-    monkeypatch.setattr(
-        suites, "build_left_regular_matrix", lambda f, sigma: mutation(build, f, sigma)
-    )
+def test_blocks_match_product_fails_on_a_mutation(mutate, failing, monkeypatch):
+    # negative controls: blocks, apply or products built with the wrong theta,
+    # twist or f must fail the check against the product
+    mutate(monkeypatch)
     rep = suite_cstar(RunConfig())
     assert not rep["pass"]
     assert {c["name"] for c in rep["checks"] if not c["pass"]} == failing
@@ -370,7 +415,7 @@ def test_spot_check_fails_on_a_mutated_dense_build(mutation, failing, monkeypatc
 
 def test_cstar_fails_on_blocks_built_at_the_transposed_form(monkeypatch):
     # negative control on the direct side: every L_h built at sigma^T = -sigma.
-    # At seed 0 dense_blocks_match reads 1.0 and homomorphism_defect 0.55;
+    # At seed 0 blocks_match_product reads 1.5 and homomorphism_defect 0.55;
     # the adjoint, C* and positivity checks hold for the opposite form too
     blocks = suites.left_regular_blocks
     monkeypatch.setattr(
@@ -379,7 +424,7 @@ def test_cstar_fails_on_blocks_built_at_the_transposed_form(monkeypatch):
     rep = suite_cstar(RunConfig())
     assert not rep["pass"]
     failing = {c["name"] for c in rep["checks"] if not c["pass"]}
-    assert failing == {"dense_blocks_match", "homomorphism_defect"}
+    assert failing == {"blocks_match_product", "homomorphism_defect"}
 
 
 @pytest.mark.parametrize("length", [6.0, 10.0, 16.0])
@@ -393,3 +438,12 @@ def test_suite_cstar_closes_the_twist_at_any_length(length):
         "twist": 1.0,
     }
     assert rep["pass"], rep["checks"]
+
+
+def test_the_seed_enters_the_cstar_suite_only_through_eta():
+    reports = [suite_cstar(RunConfig(seed=seed)) for seed in (0, 11, 4001)]
+    assert all(rep["pass"] for rep in reports), [rep["checks"] for rep in reports]
+    values = [{c["name"]: c["value"] for c in rep["checks"]} for rep in reports]
+    for other in values[1:]:
+        moved = {name for name in values[0] if values[0][name] != other[name]}
+        assert moved == {"blocks_match_product"}

@@ -33,7 +33,6 @@ TEST_ONLY = {
     "geometry.make_boost",
     "geometry.make_rotation",
     "grids.GridFunction.from_callable",
-    "operators.apply_operator",
     "oracle.GaussianFactor.hat",
     "star.commutator_constant",
     "star.inner_product_B",
