@@ -353,6 +353,59 @@ def test_blockwise_homomorphism_at_integer_twist(c, factors):
         assert block_norm(bfg - bf @ bg) <= 1e-11 * block_norm(bf) * block_norm(bg)
 
 
+def dense_spot_check(op, f):
+    """The dense checks that op, a dense L_f, fails against the direct blocks of f.
+
+    block_structure_defect is the off-block share of op, dense_blocks_match
+    the relative max-abs gap between its blocks and left_regular_blocks(f);
+    each must stay at or below 1e-12.
+    """
+    dense, off_block = reference_heisenberg_blocks(op)
+    gap = np.max(np.abs(dense - left_regular_blocks(f, op.sigma))) / np.max(np.abs(dense))
+    checks = {"block_structure_defect": off_block, "dense_blocks_match": gap}
+    return {name for name, value in checks.items() if not value <= 1e-12}
+
+
+class MutatedDenseBuild:
+    """Dense L_f built with the wrong form, theta or f, labelled with the right spec and form."""
+
+    @staticmethod
+    def transposed_form(f, sigma):
+        op = build_left_regular_matrix(f, SkewForm(sigma.matrix.T))
+        return OperatorMatrix(op.matrix, f.spec, sigma)
+
+    @staticmethod
+    def stretched_theta(f, sigma):
+        g = GridFunction(f.spec.with_theta(f.spec.theta * (1 + 1e-6)), f.values)
+        return OperatorMatrix(build_left_regular_matrix(g, sigma).matrix, f.spec, sigma)
+
+    @staticmethod
+    def dropped_nyquist(f, sigma):
+        fhat = forward_array(f.values, f.spec)
+        fhat[0] = 0.0  # the first-axis Nyquist row of the centered spectrum
+        return build_left_regular_matrix(GridFunction(f.spec, inverse_array(fhat, f.spec)), sigma)
+
+
+@pytest.mark.parametrize(
+    "mutation, failing",
+    [
+        # values at N = 32: block_structure_defect 0.87, dense_blocks_match 1.0
+        (MutatedDenseBuild.transposed_form, {"block_structure_defect", "dense_blocks_match"}),
+        # 2.9e-6 and 4.6e-6
+        (MutatedDenseBuild.stretched_theta, {"block_structure_defect", "dense_blocks_match"}),
+        # the off-block share stays at roundoff; dense_blocks_match 4.3e-11
+        (MutatedDenseBuild.dropped_nyquist, {"dense_blocks_match"}),
+    ],
+)
+def test_spot_check_fails_on_a_mutated_dense_build(mutation, failing):
+    # negative controls for the dense reference the block tests compare with:
+    # the suite's f at N = 32 passes the spot check, a mutated build fails it
+    spec = closed_spec(32)
+    f, _ = gaussians(spec)
+    assert dense_spot_check(build_left_regular_matrix(f, PLANE), f) == set()
+    assert dense_spot_check(mutation(f, PLANE), f) == failing
+
+
 def stretched_theta(monkeypatch):
     # every product of the suite at theta (1 + 1e-6), labelled with its own grid
     product = suites.star_product
