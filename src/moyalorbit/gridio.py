@@ -137,6 +137,6 @@ def read_grid(path) -> tuple:
     count = spec.size
     if len(raw) - 16 != 16 * count:
         raise FormatError(f"expected {16 * count} payload bytes, found {len(raw) - 16}")
-    values = np.frombuffer(raw[16:], dtype="<c16")
-    return GridFunction(spec, values.reshape((n,) * dim).copy()), sigma, sidecar
+    values = np.frombuffer(raw[16:], dtype="<c16")  # GridFunction copies it
+    return GridFunction(spec, values.reshape((n,) * dim)), sigma, sidecar
 

@@ -2,7 +2,13 @@
 
 import argparse
 import ast
+import contextlib
+import io
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +544,67 @@ def test_only_gridio_formats_json():
     }
     assert {name: lines for name, lines in offenders.items() if lines} == {}
     assert _json_dumps_calls((package / "gridio.py").read_text())
+
+
+def test_only_cli_imports_ctypes():
+    # only the program entry point tunes the allocator; importing the library leaves it alone
+    def imports_ctypes(source: str) -> bool:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "ctypes" or name.startswith("ctypes.") for name in names):
+                return True
+        return False
+
+    package = Path(cli.__file__).parent
+    importers = sorted(p.name for p in package.glob("*.py") if imports_ctypes(p.read_text()))
+    assert importers == ["cli.py"]
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc mallopt"
+)
+def test_warm_verify_keeps_its_heap_pages(tmp_path):
+    # with glibc's default thresholds a warm equivariance run faults about 20,400
+    # pages back in; with main's settings the freed pages stay in the process
+    import resource
+
+    argv = ["verify", "--suite", "equivariance", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 1000
+
+
+def test_verify_report_does_not_depend_on_the_allocator(tmp_path):
+    # a fresh CLI process (tuned allocator) and a fresh process that never calls
+    # cli.main (default allocator) write the same verify-all bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    untuned = (
+        "import sys\n"
+        "from moyalorbit import gridio\n"
+        "from moyalorbit.suites import RunConfig, run_suite\n"
+        "sys.stdout.write(gridio.json_text(run_suite('all', RunConfig())))\n"
+        "assert 'moyalorbit.cli' not in sys.modules\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, check=True
+        ).stdout
+        for argv in (
+            ["-m", "moyalorbit.cli", "verify", "--suite", "all", "--out", str(tmp_path)],
+            ["-c", untuned],
+        )
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == (tmp_path / "verify_all.json").read_bytes()
+    assert json.loads(outputs[0])["pass"] is True
 
 
 def test_missing_grid_file_error_line(tmp_path, capsys):
