@@ -66,8 +66,11 @@ def cmd_orbit(args, cfg: RunConfig) -> int:
 def cmd_gauss(args, cfg: RunConfig) -> int:
     spec = GridSpec(dim=cfg.dim, n=cfg.n, length=cfg.length, theta=cfg.theta)
     factors = []
-    for spec_str in args.factor:
-        c, w, b = (float(v) for v in spec_str.split(","))
+    for text in args.factor:
+        try:
+            c, w, b = (float(v) for v in text.split(","))
+        except ValueError:  # too few or too many values, or one that is not a float
+            raise ValueError(f"--factor must be three floats c,w,b, got {text!r}") from None
         factors.append(GaussianFactor(c, w, b))
     if len(factors) != cfg.dim:
         raise ValueError(f"gauss requires {cfg.dim} --factor c,w,b options")

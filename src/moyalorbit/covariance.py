@@ -25,6 +25,7 @@ from moyalorbit.grids import (
     GridFunction,
     GridSpec,
     forward_array,
+    frozen_values,
     separable_waves,
     shift_batch,
     shift_spectrum,
@@ -60,7 +61,7 @@ class FiberedFunction:
     """One grid function per sample transform: values[i] is the fiber of transform i.
 
     values has shape (len(sample),) + (N,)*spec.dim and is copied, frozen and
-    checked as GridFunction's values are.
+    checked by grids.frozen_values, as GridFunction's values are.
     """
 
     sample: GroupSample
@@ -68,14 +69,8 @@ class FiberedFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=complex)  # a copy: freezing must not reach the caller
         shape = (len(self.sample),) + (self.spec.n,) * self.spec.dim
-        if values.shape != shape:
-            raise ValueError(f"values must have shape {shape}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen_values(self.values, shape))
 
     @classmethod
     def from_callable(cls, sample: GroupSample, spec: GridSpec, fn) -> "FiberedFunction":

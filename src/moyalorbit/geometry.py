@@ -24,7 +24,7 @@ class DimensionError(ValueError):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.array(a, dtype=float, order="C")  # a copy: freezing must not reach the caller
     a.setflags(write=False)
     return a
 
@@ -64,7 +64,7 @@ class LorentzTransform:
             raise DimensionError(f"matrix must be {d}x{d}")
         eta = self.spacetime.eta
         defect = np.max(np.abs(m.T @ eta @ m - eta))
-        if defect > LORENTZ_TOL:
+        if not defect <= LORENTZ_TOL:  # also true for NaN
             raise ValueError(f"not a Lorentz transform: defect {defect:.3e}")
 
     @property
@@ -85,7 +85,7 @@ class LorentzTransform:
 
 @dataclass(frozen=True)
 class SkewForm:
-    """A real skew-symmetric d x d matrix; the deformation datum.
+    """A real skew-symmetric d x d matrix with finite entries; the deformation datum.
 
     Skewness is enforced exactly as stored.  Invertibility is only required
     where the form is used as a deformation datum (see ``assert_invertible``);
@@ -95,12 +95,14 @@ class SkewForm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=float)
+        m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError("skew form must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("skew form entries must be finite")
         if not np.array_equal(m.T, -m):
             raise ValueError("matrix is not exactly skew-symmetric")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:

@@ -72,21 +72,25 @@ class GridSpec:
         return replace(self, theta=theta)
 
 
+def frozen_values(values, shape: tuple) -> np.ndarray:
+    """A read-only complex copy of values, which must have this shape and be finite."""
+    values = np.array(values, dtype=complex)  # a copy: freezing must not reach the caller
+    if values.shape != shape:
+        raise ValueError(f"values must have shape {shape}, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    values.setflags(write=False)
+    return values
+
+
 class GridFunction:
     """Complex values on the periodic lattice of a GridSpec."""
 
     __slots__ = ("spec", "values")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
-        values = np.array(values, dtype=complex)  # a copy: freezing must not reach the caller
-        shape = (spec.n,) * spec.dim
-        if values.shape != shape:
-            raise ValueError(f"values must have shape {shape}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
+        self.values = frozen_values(values, (spec.n,) * spec.dim)
         self.spec = spec
-        self.values = values
-        self.values.setflags(write=False)
 
     @classmethod
     def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":

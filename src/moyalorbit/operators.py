@@ -10,10 +10,10 @@ matrix is assembled in closed form,
 
     M[x, y] = N^-d sum_k f(x - theta sigma k) e((x - y).k),
 
-in slabs: the columns k of one slab are band-limited shifts times a
-grids.separable_waves table of the plane waves e(x.k), and then the rows x
-of one slab are transformed over the dual index in place.  Peak memory is
-the matrix plus one slab of _SLAB_ENTRIES entries per working array.
+in one shot: one shift_batch over every dual node k, times one
+grids.separable_waves table of the plane waves e(x.k), then one centered
+forward transform over k.  Its working set peaks at four matrices (64 MiB
+at N = 32), so MAX_SIDE caps the side at 1024.
 
 On the plane, sigma = s J, the Weyl unitary u_alpha modulates by alpha and
 translates by theta sigma alpha, which is c (alpha_2, -alpha_1) grid steps for
@@ -49,10 +49,7 @@ from moyalorbit.grids import (
 )
 from moyalorbit.star import involution, star_product
 
-MAX_SIDE = 4096
-# Entries per slab of the dense build: the working set beyond the matrix
-# stays bounded, and the sums run in a fixed order.
-_SLAB_ENTRIES = 2**16
+MAX_SIDE = 1024
 
 
 @dataclass(frozen=True)
@@ -84,20 +81,13 @@ def build_left_regular_matrix(f: GridFunction, sigma: SkewForm) -> OperatorMatri
         raise ValueError(f"matrix side {spec.size} exceeds {MAX_SIDE}")
     nodes = spec.dual_nodes()  # (M, d), row-major centered order
     m = spec.size
-    rows = max(1, _SLAB_ENTRIES // m)
     shifts = -spec.theta * (sigma.matrix @ nodes.T).T
-    out = np.empty((m, m), dtype=complex)
-    # out[x, k] = f(x - theta sigma k) e(x.k), one slab of k at a time
-    for start in range(0, m, rows):
-        kc = slice(start, start + rows)
-        b = shift_batch(f.values, spec, shifts[kc])
-        b *= separable_waves(nodes[kc], spec.axis())
-        out[:, kc] = b.reshape(-1, m).T
-    # sum_k out[x, k] e(-y.k): centered forward transform over the k axes, one slab of x at a time
-    for start in range(0, m, rows):
-        xc = slice(start, start + rows)
-        slab = out[xc].reshape((-1,) + (spec.n,) * spec.dim)
-        out[xc] = forward_array(slab, spec).reshape(-1, m) / m
+    # b[k, x] = f(x - theta sigma k) e(x.k)
+    b = shift_batch(f.values, spec, shifts)
+    b *= separable_waves(nodes, spec.axis())
+    # sum_k b[k, x] e(-y.k): centered forward transform over the k axes
+    b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)
+    out = forward_array(b, spec).reshape(m, m) / m
     return OperatorMatrix(out, spec, sigma)
 
 

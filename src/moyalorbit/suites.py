@@ -350,7 +350,6 @@ SUITES = {
     "cstar": suite_cstar,
     "semiclassical": suite_semiclassical,
 }
-SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict:

@@ -134,6 +134,46 @@ def test_non_finite_grid_config_is_usage_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_non_finite_sigma0_is_usage_error(tmp_path, capsys, value):
+    # json reads Infinity and NaN; the form is checked when the config loads
+    cfg = write_cfg(tmp_path, dict(PLANE_CFG, sigma0=[[0.0, value], [-value, 0.0]]))
+    out = tmp_path / "out"
+    for command in (
+        ["gauss", "--factor=0,1.2,0", "--factor=0,1.2,0", "--out", str(out / "f.moya")],
+        ["orbit", "-n", "2", "--out", str(out)],
+        ["verify", "--suite", "cstar", "--out", str(out)],
+    ):
+        assert main(["--config", cfg, *command]) == 2
+        assert capsys.readouterr().err == "error: skew form entries must be finite\n"
+    assert not out.exists()
+
+
+def test_non_finite_sidecar_sigma_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    paths = _gauss_pair(tmp_path, cfg)
+    inf = float("inf")
+    for path in paths:
+        sidecar = path.with_suffix(".moya.json")
+        data = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**data, "sigma": [[0.0, inf], [-inf, 0.0]]}))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["--config", cfg, "star", *map(str, paths), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: skew form entries must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("factor", ["1,2", "1,2,3,4", "a,1,0"])
+def test_gauss_factor_must_be_three_floats(tmp_path, capsys, factor):
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    argv = ["--config", cfg, "gauss", f"--factor={factor}", "--factor=0,1.2,0"]
+    assert main([*argv, "--out", str(tmp_path / "f.moya")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --factor must be three floats c,w,b, got '{factor}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -362,7 +402,7 @@ def test_suites_take_only_the_config():
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")
     }
-    assert set(signatures) >= {f"suite_{name}" for name in suites.SUITE_NAMES}
+    assert set(signatures) >= {f"suite_{name}" for name in suites.SUITES}
     assert {name: args for name, args in signatures.items() if args != ["cfg"]} == {}
 
 

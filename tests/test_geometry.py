@@ -43,6 +43,23 @@ def test_lorentz_constructor_rejects_non_lorentz():
         LorentzTransform(np.eye(4) * 2.0, ST4)
 
 
+def test_lorentz_constructor_rejects_nan():
+    # a NaN defect compares false with any bound, so the check must be "not <="
+    with pytest.raises(ValueError, match="not a Lorentz transform"):
+        LorentzTransform(np.full((2, 2), np.nan), ST2)
+
+
+def test_forms_and_transforms_freeze_a_copy_of_the_callers_matrix():
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    t = np.eye(2)
+    stored = SkewForm(m).matrix, LorentzTransform(t, ST2).matrix
+    assert m.flags.writeable and t.flags.writeable
+    assert not any(a.flags.writeable for a in stored)
+    m[0, 1] = t[0, 0] = 2.0
+    np.testing.assert_array_equal(stored[0], [[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(stored[1], np.eye(2))
+
+
 def test_boost_and_rotation_preserve_metric():
     eta = ST4.eta
     for t in (make_boost(ST4, 1, 0.7), make_rotation(ST4, (2, 3), 0.9)):
@@ -71,6 +88,13 @@ def test_standard_skew_block_form():
 def test_skew_form_rejects_non_skew():
     with pytest.raises(ValueError):
         SkewForm(np.eye(2))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_skew_form_rejects_non_finite_entries(value):
+    # [[0, inf], [-inf, 0]] is exactly skew; NaN is not, but the finiteness message comes first
+    with pytest.raises(ValueError, match="skew form entries must be finite"):
+        SkewForm(np.array([[0.0, value], [-value, 0.0]]))
 
 
 def test_skewize_symmetrizes_roundoff():

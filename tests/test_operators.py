@@ -14,8 +14,6 @@ from moyalorbit.grids import (
     GridSpec,
     forward_array,
     inverse_array,
-    separable_waves,
-    shift_batch,
     unitary_dft,
 )
 from moyalorbit.operators import (
@@ -44,18 +42,6 @@ def random_grid(spec, seed):
     rng = np.random.default_rng(seed)
     shape = (spec.n,) * spec.dim
     return GridFunction(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def reference_build(f, sigma):
-    """The one-shot dense build: every k in one shift_batch, one whole-matrix transform."""
-    spec = f.spec
-    nodes = spec.dual_nodes()
-    m = spec.size
-    shifts = -spec.theta * (sigma.matrix @ nodes.T).T
-    b = shift_batch(f.values, spec, shifts)
-    b *= separable_waves(nodes, spec.axis())
-    b = b.reshape(m, m).T.reshape((m,) + (spec.n,) * spec.dim)
-    return forward_array(b, spec).reshape(m, m) / spec.size
 
 
 def reference_heisenberg_blocks(op):
@@ -155,10 +141,11 @@ def test_dimension_and_size_guards():
     f4 = GridFunction(spec4, np.zeros((8,) * 4, dtype=complex))
     with pytest.raises(ValueError):
         build_left_regular_matrix(f4, SkewForm.zero(4))
-    spec_big = GridSpec(dim=2, n=128, length=8.0)
-    f_big = GridFunction(spec_big, np.zeros((128, 128), dtype=complex))
-    with pytest.raises(ValueError):
-        build_left_regular_matrix(f_big, PLANE)
+    for n in (64, 128):
+        spec_big = GridSpec(dim=2, n=n, length=8.0)
+        f_big = GridFunction(spec_big, np.zeros((n, n), dtype=complex))
+        with pytest.raises(ValueError):
+            build_left_regular_matrix(f_big, PLANE)
 
 
 def test_operator_matrix_shape_guard():
@@ -249,40 +236,6 @@ def test_block_apply_matches_the_star_product(n, c):
     direct = star_product(h, eta, sigma)
     out = apply_blocks(left_regular_blocks(h, sigma), eta, sigma)
     assert (out - direct).max_abs() <= 1e-13 * direct.max_abs()
-
-
-@pytest.mark.parametrize("s", [1.0, -1.0, 0.0])
-@pytest.mark.parametrize("closed", [True, False])
-@pytest.mark.parametrize("n", [8, 16, 32])
-def test_slabbed_build_matches_the_one_shot_build(n, closed, s):
-    # theta = L^2 / n closes the twist of J; theta = 1 leaves it open at n <= 32
-    spec = closed_spec(n) if closed else GridSpec(dim=2, n=n, length=8.0, theta=1.0)
-    f = random_grid(spec, n)
-    out = build_left_regular_matrix(f, PLANE.scaled(s)).matrix
-    assert np.array_equal(out, reference_build(f, PLANE.scaled(s)))
-
-
-def test_short_last_slab_matches_the_reference(monkeypatch):
-    # 48 k rows per build slab (256 = 5 * 48 + 16): several slabs, the last one short
-    spec, sigma = twisted(16, 2)
-    monkeypatch.setattr(operators, "_SLAB_ENTRIES", 48 * spec.size)
-    f = random_grid(spec, 7)
-    assert np.array_equal(build_left_regular_matrix(f, sigma).matrix, reference_build(f, sigma))
-
-
-def test_dense_spot_check_holds_the_matrix_plus_one_slab():
-    # the one-shot build peaked at four matrices
-    spec = closed_spec(32)
-    f, _ = gaussians(spec)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        build_left_regular_matrix(f, PLANE)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * spec.size**2 * 16
 
 
 def test_suite_cstar_peaks_under_8_mib():

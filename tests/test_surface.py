@@ -59,6 +59,40 @@ def _unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
+def _assigned(tree: ast.Module) -> dict:
+    """Name -> line of each name the module assigns at top level."""
+    return {
+        name.id: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    }
+
+
+def _read(tree: ast.AST) -> set:
+    """Every name the source reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def _unread_constants(sources: dict) -> list:
+    """module.NAME (line) of each module-level assignment that no source reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_read, trees.values()))
+    return sorted(
+        f"{module}.{name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _assigned(tree).items()
+        if name not in read and not name.startswith("__")
+    )
+
+
 def _named(tree: ast.AST) -> set:
     """Every bare name the source mentions: the reach of a method."""
     names = set()
@@ -136,6 +170,15 @@ def test_src_has_no_unused_imports():
     }
     assert {name: found for name, found in offenders.items() if found} == {}
     assert _unused_imports("import numpy as np\nfrom a import b\nnp.pi\n") == ["b (line 2)"]
+
+
+def test_src_has_no_unread_module_constants():
+    # a constant that nothing in src/ reads is a stale knob; tests and the
+    # benchmark do not count as readers
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_constants(sources) == []
+    other = {"a": "A = 1\nB, C = 2, 3\nD: int = 4\nprint(A)\n", "b": "from a import C\nC.x\n"}
+    assert _unread_constants(other) == ["a.B (line 2)", "a.D (line 3)"]
 
 
 def test_only_pinned_names_are_unreached():

@@ -66,12 +66,10 @@ def test_tracer_traces_the_covariance_spans():
     assert summary["covariance.rho_act"]["calls"] == 1
 
 
-def test_tracer_counts_one_slabbed_dense_build(monkeypatch):
+def test_tracer_counts_one_dense_build():
     tracer_module = load_tracer()
     spec = GridSpec(dim=2, n=16, length=8.0, theta=4.0)
     side = spec.size
-    # 48 k rows per slab: 6 slabs, the last one short
-    monkeypatch.setattr(operators, "_SLAB_ENTRIES", 48 * side)
     f = SeparableGaussian((GaussianFactor(0.1, 1.2), GaussianFactor(-0.1, 1.3))).sample(spec)
     tracer = tracer_module.Tracer()
     tracer.install()
@@ -81,7 +79,7 @@ def test_tracer_counts_one_slabbed_dense_build(monkeypatch):
         tracer.uninstall()
     assert tracer.summary()["operators.build_left_regular_matrix"]["calls"] == 1
     assert tracer.counts["operators.matrix_bytes"] == side**2 * 16
-    # every k shifted exactly once across the slabs
+    # every k shifted exactly once
     assert tracer.counts["grids.ramp_entries"] == side * spec.size
 
 
