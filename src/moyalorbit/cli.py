@@ -9,14 +9,14 @@ Commands:
 
 Exit codes: 0 pass, 1 check failure, 2 usage, format or I/O error (an
 unreadable input or an unwritable --out, for example).  All outputs are
-deterministic for a fixed config + seed; runtimes go to stderr only.
+deterministic for a fixed config + seed; runtimes go to stderr only.  The
+CLI parses no JSON: gridio reads the config and every grid sidecar.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from dataclasses import replace
@@ -74,43 +74,27 @@ def cmd_gauss(args, cfg: RunConfig) -> int:
         factors.append(GaussianFactor(c, w, b))
     if len(factors) != cfg.dim:
         raise ValueError(f"gauss requires {cfg.dim} --factor c,w,b options")
-    sidecar = gridio.grid_sidecar(spec, cfg.base_form())
-    sidecar["gaussian"] = [[f.center, f.width, f.freq] for f in factors]
+    gaussian = SeparableGaussian(tuple(factors))
     path = Path(args.out)
-    gridio.write_grid_file(path, SeparableGaussian(tuple(factors)).sample(spec), sidecar)
+    sidecar = gridio.grid_sidecar(spec, cfg.base_form(), gaussian)
+    gridio.write_grid_file(path, gaussian.sample(spec), sidecar)
     print(path)
     return 0
 
 
-def _gaussian(path, sidecar: dict, dim: int) -> SeparableGaussian | None:
-    """The factors a `gauss` sidecar records, one c,w,b row per grid axis; None if absent."""
-    if "gaussian" not in sidecar:
-        return None
-    where = gridio.sidecar_path(path)
-    rows = gridio.json_value([[float]], sidecar["gaussian"], f"{where} gaussian")
-    if len(rows) != dim or any(len(row) != 3 for row in rows):
-        raise gridio.FormatError(f"{where} gaussian must hold {dim} c,w,b rows, one per axis")
-    return SeparableGaussian(tuple(GaussianFactor(c, w, b) for c, w, b in rows))
-
-
 def cmd_star(args, cfg: RunConfig) -> int:
-    f, sigma_f, sidecar_f = gridio.read_grid(args.f_file)
-    g, sigma_g, sidecar_g = gridio.read_grid(args.g_file)
+    f, sigma_f, gaussian_f = gridio.read_grid(args.f_file)
+    g, sigma_g, gaussian_g = gridio.read_grid(args.g_file)
     if f.spec != g.spec:
-        raise ValueError("grid headers do not match")
+        raise ValueError(f"{args.f_file} has {f.spec} but {args.g_file} has {g.spec}")
     sigmas = [s for s in (sigma_f, sigma_g) if s is not None]
     if len(sigmas) == 2 and not np.array_equal(sigma_f.matrix, sigma_g.matrix):
         raise ValueError(f"{args.f_file} and {args.g_file} carry different skew forms")
     sigma = sigmas[0] if sigmas else cfg.base_form()
     if sigma.dim != f.spec.dim:
         raise ValueError("skew form dimension does not match grids")
-    if args.oracle:  # read before the product, so a bad input costs nothing
-        gaussians = [
-            _gaussian(args.f_file, sidecar_f, f.spec.dim),
-            _gaussian(args.g_file, sidecar_g, f.spec.dim),
-        ]
-        if None in gaussians:
-            raise ValueError("--oracle needs Gaussian inputs written by `gauss`")
+    if args.oracle and (gaussian_f is None or gaussian_g is None):  # before the product
+        raise ValueError("--oracle needs Gaussian inputs written by `gauss`")
     out_dir = Path(args.out)
     gridio.make_dir(out_dir)  # an --out that is a file fails here, too
     t0 = time.perf_counter()
@@ -123,7 +107,7 @@ def cmd_star(args, cfg: RunConfig) -> int:
     if not np.any(sigma.matrix):
         summary["pointwise_defect"] = relative_l2(result, f * g)
     if args.oracle:
-        summary["oracle_defect"] = oracle_defect(result, *gaussians, sigma)
+        summary["oracle_defect"] = oracle_defect(result, gaussian_f, gaussian_g, sigma)
     gridio.write_json(out_dir / "star_summary.json", summary)
     print(grid_path)
     return 0
@@ -230,9 +214,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig()
         if args.config is not None:
-            with gridio.io_errors("read config"):
-                text = Path(args.config).read_text()
-            cfg = RunConfig.from_dict(json.loads(text))
+            cfg = RunConfig.from_dict(gridio.read_json(args.config))
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         # looked up by name when called, so a wrapper installed on the module (as

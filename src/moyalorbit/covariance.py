@@ -146,6 +146,9 @@ def phi_alpha(alpha, psi: FiberedFunction, grid: GridSpec) -> FiberedFunction:
         raise ValueError(f"alpha must be a covector of length grid.dim >= 2, got {alpha.shape}")
     p = spec1d.dual_axis()
     coeffs = forward_array(psi.values, spec1d) * spec1d.dx  # (n_fibers, N)
+    # the -N/2 mode has no +N/2 partner on the grid, so a negative entry of
+    # alpha would send it off the grid and break equivariance: drop it
+    coeffs[:, 0] = 0
     # e(alpha(q) p) = e(p alpha_head.q_head) e(p alpha_d q_d): one table over the
     # leading axes and one over the last, so each fiber is head^T diag(coeffs) last
     head = separable_waves(np.outer(p, alpha[:-1]), grid.axis()).reshape(len(p), -1)

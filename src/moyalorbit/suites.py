@@ -8,7 +8,8 @@ deterministic for a fixed RunConfig (seeded randomness only).
 
 The table SUITES names every suite for run_suite, `verify --suite` and the
 "all" report: a new suite is one suite_<name>(cfg) function plus one SUITES
-entry.
+entry.  RunConfig.from_dict types a config against the table RunConfig._KEYS
+with gridio.json_value; RunConfig itself checks the values.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from moyalorbit.geometry import (
     time_reversal,
     to_group,
 )
-from moyalorbit.gridio import json_value
+from moyalorbit.gridio import MAX_DIM, json_value
 from moyalorbit.grids import GridFunction, GridSpec
 from moyalorbit.operators import apply_blocks, left_regular_blocks, twist
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
@@ -60,12 +61,9 @@ PLANE = Spacetime(2, (1, -1))
 PLANE_FORM = standard_skew(PLANE)
 
 
-def _typed_keys(data: dict, kinds: dict, what: str, prefix: str) -> dict:
-    """data's values read as the JSON types kinds gives their keys; another key is an error."""
-    unknown = set(data) - set(kinds)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return {key: json_value(kinds[key], value, prefix + key) for key, value in data.items()}
+def _check_dim(dim: int) -> None:
+    if not 0 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in 0..{MAX_DIM}, the .moya header's u8, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +79,14 @@ class RunConfig:
     seed: int = 0
 
     # each config key, and each key of its "grid" object, with its JSON type
-    _KEYS = {"dim": int, "metric": [int], "sigma0": [[float]], "grid": dict, "seed": int}
-    _GRID_KEYS = {"n": int, "length": float, "theta": float}
+    _KEYS = {"dim": int, "metric": [int], "sigma0": [[float]], "seed": int}
+    _KEYS["grid"] = {"n": int, "length": float, "theta": float}
 
     def __post_init__(self):
         # GridSpec, Spacetime and SkewForm hold the rules: a bad config fails at load
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_dim(self.dim)
         GridSpec(dim=1, n=self.n, length=self.length, theta=self.theta)
         if self.base_form().dim != self.spacetime().dim:
             raise ValueError(f"sigma0 must be {self.dim}x{self.dim}, got {self.base_form().dim}")
@@ -93,11 +94,12 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         data = json_value(dict, data, "config")
-        if "sigma0" in data and data["sigma0"] is None:  # null: the standard form
+        if data.get("sigma0", ()) is None:  # null: the standard form
             del data["sigma0"]
-        kwargs = _typed_keys(data, cls._KEYS, "config", "")
-        kwargs.update(_typed_keys(kwargs.pop("grid", {}), cls._GRID_KEYS, "grid", "grid."))
+        kwargs = json_value(cls._KEYS, data, "config")
+        kwargs.update(kwargs.pop("grid", {}))
         if "dim" in kwargs and "metric" not in kwargs:
+            _check_dim(kwargs["dim"])  # before the metric's list is built
             kwargs["metric"] = tuple([1] + [-1] * (kwargs["dim"] - 1))
         return cls(**kwargs)
 

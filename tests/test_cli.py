@@ -160,7 +160,8 @@ def test_non_finite_sidecar_sigma_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "run"
     assert main(["--config", cfg, "star", *map(str, paths), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: skew form entries must be finite\n"
+    sidecar = paths[0].with_suffix(".moya.json")  # f is read first, so its sidecar is named
+    assert capsys.readouterr().err == f"error: {sidecar}: skew form entries must be finite\n"
     assert not out.exists()
 
 
@@ -193,6 +194,84 @@ def test_grid_length_beyond_float32_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: length must be positive and finite")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_star_names_both_files_when_only_theta_differs(tmp_path, capsys):
+    # theta is not in the .moya header, only in the sidecar
+    paths = []
+    for theta in (1.0, 0.5):
+        cfg = write_cfg(tmp_path, dict(PLANE_CFG, grid={"n": 32, "theta": theta}), f"t{theta}.json")
+        paths.append(str(tmp_path / f"t{theta}.moya"))
+        assert main(["--config", cfg, "gauss", *["--factor=0,1.2,0"] * 2, "--out", paths[-1]]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["star", *paths, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert paths[0] in err and paths[1] in err and "theta=1.0" in err and "theta=0.5" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, option, key",
+    [({"seed": -1}, [], "seed"), ({}, ["--seed", "-1"], "seed"), ({"dim": 10**20}, [], "dim")],
+    ids=["config-seed", "option-seed", "huge-dim"],
+)
+@pytest.mark.parametrize("command", ["verify", "orbit"])
+def test_config_integers_outside_the_model_are_usage_errors(
+    tmp_path, capsys, cfg, option, key, command
+):
+    # a negative seed would reach numpy's generator, and dim is capped at 255,
+    # the .moya header's u8, before from_dict builds a dim-long metric
+    out = tmp_path / "out"
+    args = {"verify": ["verify", "--suite", "weyl"], "orbit": ["orbit", "-n", "2"]}[command]
+    argv = ["--config", write_cfg(tmp_path, cfg), *args, *option, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (json.dumps({"dim": 2, "grid": {"length": 10**400}}), "config.grid.length"),
+        ('{"dim": 2,}', "config.json"),
+        (b"\xff", "config.json"),
+    ],
+    ids=["length-beyond-float", "not-json", "not-utf8"],
+)
+def test_config_input_errors_name_the_key_or_file(tmp_path, capsys, text, named):
+    path = tmp_path / "config.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "verify", "--suite", "weyl", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: json.dumps({**json.loads(text), "theta": 10**400}),
+        lambda text: json.dumps({**json.loads(text), "sigma": [[0.0, 1.0], [1.0, 0.0]]}),
+        lambda text: json.dumps({**json.loads(text), "thetta": 0.5}),
+        lambda text: text[:-3],
+    ],
+    ids=["theta-beyond-float", "sigma-not-skew", "unknown-key", "not-json"],
+)
+def test_sidecar_input_errors_name_the_sidecar(tmp_path, capsys, edit):
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    f_path, g_path = _gauss_pair(tmp_path, cfg)
+    sidecar = g_path.with_suffix(".moya.json")
+    sidecar.write_text(edit(sidecar.read_text()))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["--config", cfg, "star", str(f_path), str(g_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -584,6 +663,17 @@ def test_only_gridio_formats_json():
     }
     assert {name: lines for name, lines in offenders.items() if lines} == {}
     assert _json_dumps_calls((package / "gridio.py").read_text())
+
+
+def test_only_gridio_parses_json():
+    # one reader of JSON input: the config and every sidecar go through gridio
+    def parses_json(source: str) -> bool:
+        calls = (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call))
+        return any(ast.unparse(c.func) in ("json.loads", "json.load", "loads") for c in calls)
+
+    package = Path(cli.__file__).parent
+    callers = sorted(p.name for p in package.glob("*.py") if parses_json(p.read_text()))
+    assert callers == ["gridio.py"]
 
 
 def test_only_cli_imports_ctypes():

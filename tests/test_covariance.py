@@ -151,10 +151,13 @@ def test_phi_alpha_rejects_an_alpha_that_does_not_fit_the_grid(alpha):
         cov.phi_alpha(np.array(alpha), psi, SPEC)
 
 
-def phi_alpha_reference(alpha, psi, grid):
-    # Phi^alpha as one N x N^d table e(alpha(q) p) contracted with every fiber
+def phi_alpha_reference(alpha, psi, grid, full_band=False):
+    # Phi^alpha as one N x N^d table e(alpha(q) p) contracted with every fiber;
+    # psi's unpaired -N/2 coefficient is dropped, as phi_alpha drops it, unless full_band
     spec1d = psi.spec
     coeffs = forward_array(psi.values, spec1d) * spec1d.dx
+    if not full_band:
+        coeffs[:, 0] = 0
     waves = separable_waves(np.outer(spec1d.dual_axis(), alpha), grid.axis())
     return np.tensordot(coeffs, waves, axes=(1, 0)) * spec1d.dp
 
@@ -175,6 +178,36 @@ def test_phi_alpha_matches_the_full_wave_table(alpha, n):
     ref = phi_alpha_reference(alpha, psi, spec)
     out = cov.phi_alpha(alpha, psi, spec).values
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "grid", [{"n": 8}, {"n": 16}, {"n": 32}, {"length": 6.0}, {"length": 16.0}]
+)
+def test_equivariance_suite_passes_on_valid_grids(grid):
+    # with psi's -N/2 mode kept, phi_equivariance read 0.21, 1.8e-2 and 1.2e-5
+    # at n 8, 16 and 32, and 1.2e-8 and 6.0e-6 at length 6 and 16 (bound 1e-9)
+    report = suites.suite_equivariance(suites.RunConfig.from_dict({"grid": grid}))
+    assert report["pass"] is True
+
+
+def test_full_band_phi_alpha_fails_equivariance(monkeypatch):
+    # negative control: the -N/2 mode has no +N/2 partner, so alpha = (1, -1)
+    # sends it off the grid, where the shift ramp takes the other sign
+    spec = GridSpec(dim=2, n=16, length=8.0, theta=1.0)
+    spec1d = GridSpec(dim=1, n=16, length=8.0, theta=1.0)
+    psi = cov.FiberedFunction.from_callable(
+        small_sample(seed=2, size=2), spec1d, lambda t, r: np.exp(-np.pi * (r - 0.1) ** 2 / 1.1**2)
+    )
+    alpha, x = np.array([1.0, -1.0]), np.array([0.15, -0.2])
+    assert cov.check_phi_equivariance(alpha, x, psi, spec) <= 1e-9
+    monkeypatch.setattr(
+        cov,
+        "phi_alpha",
+        lambda a, f, grid: cov.FiberedFunction(
+            f.sample, grid, phi_alpha_reference(a, f, grid, full_band=True)
+        ),
+    )
+    assert cov.check_phi_equivariance(alpha, x, psi, spec) > 1e-3
 
 
 def test_rho_act_matches_analytic_shift():

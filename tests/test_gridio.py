@@ -1,13 +1,16 @@
-"""Binary grid format round trips and malformed-file errors."""
+"""Binary grid format round trips, malformed-file errors and the JSON reader on any input."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moyalorbit import gridio
 from moyalorbit.geometry import Spacetime, standard_skew
 from moyalorbit.grids import GridFunction, GridSpec
+from moyalorbit.suites import RunConfig
 
 ST2 = Spacetime(2, (1, -1))
 PLANE = standard_skew(ST2)
@@ -99,3 +102,66 @@ def test_unsupported_version_raises(tmp_path):
     with pytest.raises(gridio.FormatError):
         gridio.read_grid(path)
 
+
+
+# JSON-like leaves: ints reach +-10^400, beyond the float range, and floats
+# include +-inf and NaN, which json.dumps writes as Infinity and NaN
+NUMBERS = st.integers(min_value=-(10**400), max_value=10**400) | st.floats()
+LEAVES = st.none() | st.booleans() | st.text("aehinst", max_size=3) | NUMBERS
+MATRICES = st.lists(st.lists(NUMBERS, max_size=4), max_size=4)
+USAGE_ERRORS = (ValueError, KeyError, OSError)  # what cli.main maps to exit 2
+
+
+def json_like(keys):
+    """Nested JSON-like values whose object keys are mostly drawn from keys."""
+    key = st.sampled_from(sorted(keys)) | st.text("aehinst", max_size=3)
+    return st.recursive(
+        LEAVES,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(key, inner, max_size=4),
+        max_leaves=8,
+    )
+
+
+CONFIG_KEYS = ("dim", "metric", "sigma0", "grid", "seed", "n", "length", "theta")
+CONFIGS = json_like(CONFIG_KEYS) | st.fixed_dictionaries(
+    {},
+    optional={
+        "dim": st.sampled_from([10**20, -(10**20)]) | st.integers(max_value=255),
+        "metric": st.lists(st.sampled_from([1, -1]), max_size=6) | LEAVES,
+        "sigma0": MATRICES | LEAVES,
+        "grid": st.fixed_dictionaries({}, optional=dict.fromkeys(("n", "length", "theta"), LEAVES)),
+        "seed": LEAVES,
+    },
+)
+SIDECARS = json_like(gridio.SIDECAR_KEYS) | st.fixed_dictionaries(
+    {},
+    optional={
+        "dim": st.just(2) | LEAVES,
+        "n": st.just(8) | LEAVES,
+        "length": st.just(8.0) | LEAVES,
+        "theta": LEAVES,
+        "sigma": MATRICES | LEAVES,
+        "gaussian": MATRICES | LEAVES,
+    },
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=CONFIGS)
+def test_any_json_config_loads_or_is_a_usage_error(data):
+    try:
+        RunConfig.from_dict(data)
+    except USAGE_ERRORS:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=SIDECARS)
+def test_any_json_sidecar_reads_or_is_a_usage_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "any-sidecar.moya"
+    gridio.write_grid(path, random_grid(n=8))
+    gridio.sidecar_path(path).write_text(json.dumps(data))
+    try:
+        gridio.read_grid(path)
+    except USAGE_ERRORS:
+        pass
