@@ -1,10 +1,10 @@
 """Group actions on fibered functions over a finite sample of transforms.
 
 A FiberedFunction holds one grid function per transform of a finite group
-sample, stacked in one array; a line function psi(T, r) is a FiberedFunction
-on a one-dimensional grid.  All actions here are precompositions with the
-point maps (x-translation tau, right translation gamma), so the pinned
-conventions are
+sample, a nonempty tuple of transforms, stacked in one array; a line
+function psi(T, r) is a FiberedFunction on a one-dimensional grid.  All
+actions here are precompositions with the point maps (x-translation tau,
+right translation gamma), so the pinned conventions are
 
     (tau_x F)(T, q) = F(T, q + T x)
     (gamma_S F)(T, q) = F(T S^-1, q)
@@ -33,50 +33,33 @@ from moyalorbit.grids import (
 )
 from moyalorbit.star import relative_l2, star_product
 
-MATCH_TOL = 1e-9  # max-entry distance at which GroupSample.index_of matches
-
-
-@dataclass(frozen=True)
-class GroupSample:
-    """A finite, nonempty list of transforms."""
-
-    transforms: tuple
-
-    def __post_init__(self):
-        if len(self.transforms) == 0:
-            raise ValueError("group sample must be nonempty")
-
-    def __len__(self) -> int:
-        return len(self.transforms)
-
-    def index_of(self, matrix: np.ndarray) -> int:
-        for i, t in enumerate(self.transforms):
-            if np.max(np.abs(t.matrix - matrix)) <= MATCH_TOL:
-                return i
-        raise KeyError("transform not found in sample")
+MATCH_TOL = 1e-9  # max-entry distance at which _index_of matches a transform
 
 
 @dataclass(frozen=True, eq=False)
 class FiberedFunction:
-    """One grid function per sample transform: values[i] is the fiber of transform i.
+    """One grid function per transform of sample, a nonempty tuple of
+    transforms: values[i] is the fiber of sample[i].
 
     values has shape (len(sample),) + (N,)*spec.dim and is copied, frozen and
     checked by grids.frozen_values, as GridFunction's values are.
     """
 
-    sample: GroupSample
+    sample: tuple
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
+        if len(self.sample) == 0:
+            raise ValueError("group sample must be nonempty")
         shape = (len(self.sample),) + (self.spec.n,) * self.spec.dim
         object.__setattr__(self, "values", frozen_values(self.values, shape))
 
     @classmethod
-    def from_callable(cls, sample: GroupSample, spec: GridSpec, fn) -> "FiberedFunction":
+    def from_callable(cls, sample: tuple, spec: GridSpec, fn) -> "FiberedFunction":
         """Fiber T is fn(T, x_1, ..., x_d) on spec's mesh."""
         mesh = spec.mesh()
-        return cls(sample, spec, np.stack([fn(t, *mesh) for t in sample.transforms]))
+        return cls(sample, spec, np.stack([fn(t, *mesh) for t in sample]))
 
     def fiber(self, i: int) -> GridFunction:
         return GridFunction(self.spec, self.values[i])
@@ -99,10 +82,18 @@ def _points(x, f: FiberedFunction) -> np.ndarray:
 def tau_act(x, f: FiberedFunction) -> FiberedFunction:
     """(tau_x F)(T, q) = F(T, q + T x); x is one point, or one point per fiber."""
     xs = _points(x, f)
-    return _shifted(f, np.stack([t.matrix @ xi for t, xi in zip(f.sample.transforms, xs)]))
+    return _shifted(f, np.stack([t.matrix @ xi for t, xi in zip(f.sample, xs)]))
 
 
-def _right_translation_order(s: LorentzTransform, sample: GroupSample, draw_size: int) -> list:
+def _index_of(transforms: tuple, matrix: np.ndarray) -> int:
+    """The index of the first transform within MATCH_TOL of matrix; else KeyError."""
+    for i, t in enumerate(transforms):
+        if np.max(np.abs(t.matrix - matrix)) <= MATCH_TOL:
+            return i
+    raise KeyError("transform not found in sample")
+
+
+def _right_translation_order(s: LorentzTransform, sample: tuple, draw_size: int) -> list:
     """order[i] = the fiber of T_i S^-1, looked up in T_i's own draw.
 
     The fibers are consecutive draws of draw_size transforms each, and each
@@ -110,11 +101,10 @@ def _right_translation_order(s: LorentzTransform, sample: GroupSample, draw_size
     in the whole stacked sample could pair fibers of different draws.
     """
     s_inv = s.inverse().matrix
-    transforms = sample.transforms
     order = []
-    for start in range(0, len(transforms), draw_size):
-        draw = GroupSample(transforms[start : start + draw_size])
-        order += [start + draw.index_of(t.matrix @ s_inv) for t in draw.transforms]
+    for start in range(0, len(sample), draw_size):
+        draw = sample[start : start + draw_size]
+        order += [start + _index_of(draw, t.matrix @ s_inv) for t in draw]
     return order
 
 
@@ -130,7 +120,7 @@ def rho_act(alpha, x, psi: FiberedFunction) -> FiberedFunction:
     alpha = np.asarray(alpha, dtype=float)
     xs = _points(x, psi)
     return _shifted(
-        psi, np.array([[alpha @ (t.matrix @ xi)] for t, xi in zip(psi.sample.transforms, xs)])
+        psi, np.array([[alpha @ (t.matrix @ xi)] for t, xi in zip(psi.sample, xs)])
     )
 
 
@@ -180,9 +170,8 @@ def check_gamma_covariance(
     draw_size = len(f.sample) if draw_size is None else draw_size
     order = _right_translation_order(s, f.sample, draw_size)
     values_hat = spectrum(f.values, f.spec)[order]
-    transforms = f.sample.transforms
-    lhs_shifts = np.stack([t.matrix @ xi for t, xi in zip(transforms, xs)])
-    rhs_shifts = np.stack([transforms[j].matrix @ (s.matrix @ xs[j]) for j in order])
+    lhs_shifts = np.stack([t.matrix @ xi for t, xi in zip(f.sample, xs)])
+    rhs_shifts = np.stack([f.sample[j].matrix @ (s.matrix @ xs[j]) for j in order])
     lhs = shift_spectrum(values_hat, f.spec, lhs_shifts)
     rhs = shift_spectrum(values_hat, f.spec, rhs_shifts)
     return float(np.max(np.abs(lhs - rhs)))
@@ -192,12 +181,10 @@ def fibered_star_product(
     f: FiberedFunction, g: FiberedFunction, sigma0: SkewForm
 ) -> FiberedFunction:
     """Fiberwise star product; fiber T deforms along T sigma0 T^t."""
-    if f.spec != g.spec:
-        raise ValueError("grid specs do not match")
     values = np.stack(
         [
             star_product(f.fiber(i), g.fiber(i), act_on_form(t, sigma0)).values
-            for i, t in enumerate(f.sample.transforms)
+            for i, t in enumerate(f.sample)
         ]
     )
     return FiberedFunction(f.sample, f.spec, values)

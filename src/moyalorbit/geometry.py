@@ -1,8 +1,10 @@
 """Lorentz transforms, skew forms, and the orbit geometry.
 
 The noncommutativity datum is an invertible skew d x d matrix sigma
-(an operator from covectors to vectors).  The Lorentz group of a fixed
-metric signature acts on such forms by T sigma T^t; the orbit of the
+(an operator from covectors to vectors).  Invertible is meant relative to
+the form's own scale (SkewForm.assert_invertible), so a form and its nonzero
+multiples pass or fail together, at any dimension.  The Lorentz group of a
+fixed metric signature acts on such forms by T sigma T^t; the orbit of the
 standard block form is the parameter manifold of the construction.
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 LORENTZ_TOL = 1e-12
-SKEW_DET_TOL = 1e-12
+MIN_SINGULAR_RATIO = 1e-12  # smallest / largest singular value of an invertible form
 STABILIZER_TOL = 1e-9  # max-entry tolerance of in_stabilizer
 PROJECTION_SWEEPS = 3  # Newton sweeps of to_group
 MAX_WORD = 8  # default longest word of random_lorentz and sample_orbit
@@ -109,7 +111,10 @@ class SkewForm:
         return self.matrix.shape[0]
 
     def assert_invertible(self) -> None:
-        if abs(np.linalg.det(self.matrix)) <= SKEW_DET_TOL:
+        """Raise unless the form is invertible relative to its own scale: its
+        singular values span at most 1 / MIN_SINGULAR_RATIO, at any dimension."""
+        s = np.linalg.svd(self.matrix, compute_uv=False)  # in decreasing order
+        if not s[-1] > MIN_SINGULAR_RATIO * s[0]:  # also true for the zero form
             raise ValueError("skew form is not invertible")
 
     @classmethod
@@ -140,9 +145,7 @@ def standard_skew(st: Spacetime) -> SkewForm:
     for k in range(0, d, 2):
         m[k, k + 1] = 1.0
         m[k + 1, k] = -1.0
-    form = SkewForm(m)
-    form.assert_invertible()
-    return form
+    return SkewForm(m)
 
 
 def act_on_form(t: LorentzTransform, sigma: SkewForm) -> SkewForm:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+MAX_N = 2**15  # the largest power of 2 that the .moya header's u16 N holds
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -27,8 +29,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of 2 and >= 8")
+        if not 8 <= self.n <= MAX_N or (self.n & (self.n - 1)) != 0:
+            raise ValueError(f"n must be a power of 2 in 8..{MAX_N}, got {self.n}")
         top = float(np.finfo(np.float32).max)  # the .moya header holds L as f32
         if not 0 < self.length <= top:  # also false for NaN
             raise ValueError(
@@ -106,21 +108,22 @@ class GridFunction:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def _check_spec(self, other: "GridFunction") -> None:
+    def check_spec(self, other: "GridFunction") -> None:
+        """The one check that two grid functions live on the same grid."""
         if self.spec != other.spec:
             raise ValueError("grid specs do not match")
 
     def __add__(self, other):
-        self._check_spec(other)
+        self.check_spec(other)
         return GridFunction(self.spec, self.values + other.values)
 
     def __sub__(self, other):
-        self._check_spec(other)
+        self.check_spec(other)
         return GridFunction(self.spec, self.values - other.values)
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
-            self._check_spec(other)
+            self.check_spec(other)
             return GridFunction(self.spec, self.values * other.values)
         return GridFunction(self.spec, self.values * other)
 
@@ -143,17 +146,13 @@ def _centered(transform, values: np.ndarray, axes) -> np.ndarray:
 def fft_forward(f: GridFunction) -> GridFunction:
     """ghat(p) = sum_x g(x) e(-2 pi i x.p) dx^d on the centered dual lattice."""
     spec = f.spec
-    axes = tuple(range(spec.dim))
-    scale = spec.dx**spec.dim
-    return GridFunction(spec, _centered(np.fft.fftn, f.values, axes) * scale)
+    return GridFunction(spec, forward_array(f.values, spec) * spec.dx**spec.dim)
 
 
 def fft_inverse(fhat: GridFunction) -> GridFunction:
     """g(x) = sum_p ghat(p) e(2 pi i x.p) dp^d."""
     spec = fhat.spec
-    axes = tuple(range(spec.dim))
-    scale = spec.size * spec.dp**spec.dim
-    return GridFunction(spec, _centered(np.fft.ifftn, fhat.values, axes) * scale)
+    return GridFunction(spec, inverse_array(fhat.values, spec) * (spec.size * spec.dp**spec.dim))
 
 
 def forward_array(values: np.ndarray, spec: GridSpec) -> np.ndarray:

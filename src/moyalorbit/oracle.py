@@ -25,6 +25,7 @@ import numpy as np
 
 from moyalorbit.geometry import SkewForm
 from moyalorbit.grids import GridFunction, GridSpec
+from moyalorbit.star import relative_l2
 
 # random_gaussian draws: center in +-CENTER_SCALE, width in WIDTH_RANGE,
 # modulation frequency in +-FREQ_SCALE
@@ -147,4 +148,4 @@ def oracle_defect(
     """Relative L2 mismatch between the FFT product and the oracle on every node."""
     spec = fft_result.spec
     vals = star_oracle_point(f, g, sigma, spec.theta, np.moveaxis(spec.mesh(), 0, -1))
-    return float(np.linalg.norm(fft_result.values - vals) / np.linalg.norm(vals))
+    return relative_l2(fft_result, GridFunction(spec, vals))

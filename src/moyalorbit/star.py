@@ -65,8 +65,7 @@ _BATCH_ENTRIES = 2**15
 
 def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunction:
     """Deformed product of two grid functions at deformation theta * sigma."""
-    if f.spec != g.spec:
-        raise ValueError("grid specs do not match")
+    f.check_spec(g)
     spec, m = f.spec, sigma.matrix
     if sigma.dim != spec.dim:
         raise ValueError("skew form dimension mismatch")
@@ -138,15 +137,13 @@ def star_commutator(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFu
 
 def inner_product_B(xi: GridFunction, eta: GridFunction) -> complex:
     """Riemann-sum inner product int conj(xi) eta with weight dx^d."""
-    if xi.spec != eta.spec:
-        raise ValueError("grid specs do not match")
+    xi.check_spec(eta)
     return complex(np.sum(np.conj(xi.values) * eta.values) * xi.spec.dx**xi.spec.dim)
 
 
 def poisson_bracket(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunction:
     """{f, g}_sigma = sum_jk sigma_jk (d_j f)(d_k g), spectral derivatives."""
-    if f.spec != g.spec:
-        raise ValueError("grid specs do not match")
+    f.check_spec(g)
     df = spectral_gradient(f)
     dg = spectral_gradient(g)
     out = np.zeros_like(f.values)

@@ -9,7 +9,8 @@ deterministic for a fixed RunConfig (seeded randomness only).
 The table SUITES names every suite for run_suite, `verify --suite` and the
 "all" report: a new suite is one suite_<name>(cfg) function plus one SUITES
 entry.  RunConfig.from_dict types a config against the table RunConfig._KEYS
-with gridio.json_value; RunConfig itself checks the values.
+with gridio.json_value; RunConfig itself checks the values and derives the
+default metric (1, -1, ..., -1) from dim.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from moyalorbit.geometry import (
 from moyalorbit.gridio import MAX_DIM, json_value
 from moyalorbit.grids import GridFunction, GridSpec
 from moyalorbit.operators import apply_blocks, left_regular_blocks, twist
-from moyalorbit.oracle import GaussianFactor, SeparableGaussian
+from moyalorbit.oracle import GaussianFactor, SeparableGaussian, random_gaussian
 from moyalorbit.star import involution, semiclassical_sweep, star_product
 
 # The pinned bound of every check: a config sets the model, never the verdict.
@@ -71,7 +72,7 @@ class RunConfig:
     """Run parameters: spacetime, optional sigma0 override, grid, seed."""
 
     dim: int = 4
-    metric: tuple = (1, -1, -1, -1)
+    metric: tuple | None = None  # None: (1, -1, ..., -1)
     sigma0: tuple | None = None
     n: int = 64
     length: float = 8.0
@@ -86,7 +87,9 @@ class RunConfig:
         # GridSpec, Spacetime and SkewForm hold the rules: a bad config fails at load
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        _check_dim(self.dim)
+        _check_dim(self.dim)  # before the metric's list is built
+        if self.metric is None:
+            object.__setattr__(self, "metric", tuple([1] + [-1] * (self.dim - 1)))
         GridSpec(dim=1, n=self.n, length=self.length, theta=self.theta)
         if self.base_form().dim != self.spacetime().dim:
             raise ValueError(f"sigma0 must be {self.dim}x{self.dim}, got {self.base_form().dim}")
@@ -98,9 +101,6 @@ class RunConfig:
             del data["sigma0"]
         kwargs = json_value(cls._KEYS, data, "config")
         kwargs.update(kwargs.pop("grid", {}))
-        if "dim" in kwargs and "metric" not in kwargs:
-            _check_dim(kwargs["dim"])  # before the metric's list is built
-            kwargs["metric"] = tuple([1] + [-1] * (kwargs["dim"] - 1))
         return cls(**kwargs)
 
     def spacetime(self) -> Spacetime:
@@ -156,17 +156,15 @@ def suite_weyl(cfg: RunConfig) -> dict:
         gamma = rng.uniform(-1, 1, st.dim)
         ua, ub, ug = (weyl.unit_u(v, sigma) for v in (alpha, beta, gamma))
         prod = weyl.mul(ua, ub)
-        key = tuple(
-            x + y for x, y in zip(weyl.covector_key(alpha), weyl.covector_key(beta))
-        )
-        a_exact = weyl.key_to_covector(weyl.covector_key(alpha))
-        b_exact = weyl.key_to_covector(weyl.covector_key(beta))
+        (ka,), (kb,) = ua.terms, ub.terms  # the quantized alpha and beta
+        key = tuple(x + y for x, y in zip(ka, kb))
+        a_exact, b_exact = weyl.key_to_covector(ka), weyl.key_to_covector(kb)
         expected = weyl.e(q_form(sigma, a_exact, b_exact))
         if set(prod.terms) != {key}:
             worst_phase = np.inf
         else:
             worst_phase = max(worst_phase, abs(prod.terms[key] - expected))
-        left = weyl.mul(weyl.mul(ua, ub), ug)
+        left = weyl.mul(prod, ug)
         right = weyl.mul(ua, weyl.mul(ub, ug))
         keys = set(left.terms) | set(right.terms)
         worst_assoc = max(
@@ -180,15 +178,6 @@ def suite_weyl(cfg: RunConfig) -> dict:
     return _report("weyl", checks)
 
 
-def _random_gaussian(dim: int, rng) -> SeparableGaussian:
-    return SeparableGaussian(
-        tuple(
-            GaussianFactor(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(1.1, 1.5)))
-            for _ in range(dim)
-        )
-    )
-
-
 def _stacked_passes(draws: list, spec: GridSpec):
     """(key, sample, fiber items, x per fiber) for each stacked pass over draws.
 
@@ -200,7 +189,7 @@ def _stacked_passes(draws: list, spec: GridSpec):
         group = [d for d in draws if d[0] == key]
         step = max(1, STACK_ENTRIES // (len(group[0][1]) * spec.size))
         for chunk in (group[i : i + step] for i in range(0, len(group), step)):
-            sample = cov.GroupSample(tuple(t for d in chunk for t in d[1]))
+            sample = tuple(t for d in chunk for t in d[1])
             items = [item for d in chunk for item in d[2]]
             yield key, sample, items, [d[3] for d in chunk for _ in d[1]]
 
@@ -232,7 +221,7 @@ def suite_equivariance(cfg: RunConfig) -> dict:
     for _ in range(DRAWS):
         words.append(draw_word(PLANE, rng, 2))
         k = int(rng.integers(2))
-        gaussians = [_random_gaussian(spec.dim, rng) for _ in range(2)]
+        gaussians = [random_gaussian(rng, spec.dim) for _ in range(2)]
         x = rng.uniform(-0.3, 0.3, 2)
         gamma_items.append((k, gaussians, x))
     transforms = to_group(PLANE, words)

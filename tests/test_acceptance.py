@@ -140,9 +140,7 @@ def test_criterion_5_pointwise_theorem():
     spec = GridSpec(dim=2, n=64, length=8.0, theta=1.0)
     spec1d = GridSpec(dim=1, n=64, length=8.0, theta=1.0)
     rng = np.random.default_rng(23)
-    sample = cov.GroupSample(
-        tuple(random_lorentz(ST2, rng, max_word=2) for _ in range(5))
-    )
+    sample = tuple(random_lorentz(ST2, rng, max_word=2) for _ in range(5))
     psi1 = cov.FiberedFunction.from_callable(
         sample, spec1d, lambda t, r: np.exp(-np.pi * (r - 0.1) ** 2 / 1.3**2)
     )

@@ -17,6 +17,7 @@ import pytest
 from moyalorbit import cli, suites
 from moyalorbit.cli import main
 from moyalorbit.gridio import read_grid
+from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
 from moyalorbit.star import star_product
 from moyalorbit.suites import SEMICLASSICAL_THETAS, RunConfig, suite_semiclassical
@@ -779,3 +780,45 @@ def test_gauss_writes_its_sidecar_once_and_star_parses_each_once(tmp_path, monke
     assert main([*argv, "--out", str(tmp_path / "run")]) == 0
     assert sum(text in sidecars for text in parsed) == 2  # the config is the other parse
     assert len(parsed) == 3
+
+
+def test_default_metric_is_derived_from_dim():
+    assert RunConfig(dim=2) == RunConfig.from_dict({"dim": 2})
+    assert RunConfig(dim=2).metric == (1, -1)
+    assert RunConfig().metric == (1, -1, -1, -1)
+
+
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "sigma0,code",
+    [
+        (1e-4 * np.kron(np.eye(2), J), 0),
+        (1e-4 * J, 0),
+        (1e-7 * J, 0),
+        (np.kron(np.diag([1.0, 1e-15]), J), 2),
+        (np.zeros((4, 4)), 2),
+    ],
+    ids=["1e-4 (J+J)", "1e-4 J", "1e-7 J", "J + 1e-15 J", "zero"],
+)
+def test_sigma0_invertibility_does_not_depend_on_scale_or_dim(tmp_path, capsys, sigma0, code):
+    # a |det| <= 1e-12 test refused 1e-4 (J+J) at d = 4 (det 1e-16) and 1e-7 J at d = 2
+    cfg = write_cfg(tmp_path, {"dim": len(sigma0), "sigma0": sigma0.tolist()})
+    assert main(["--config", cfg, "orbit", "-n", "2", "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        assert capsys.readouterr().err == "error: skew form is not invertible\n"
+
+
+def test_grid_n_beyond_the_header_u16_is_refused_at_load(tmp_path, capsys):
+    # the .moya header holds N as a u16; 65536 used to load and fail in the write
+    GridSpec(dim=1, n=2**15)
+    for n in (2**16, 2**20):
+        with pytest.raises(ValueError, match="^n must be a power of 2"):
+            RunConfig.from_dict({"dim": 2, "grid": {"n": n}})
+    cfg = write_cfg(tmp_path, {"dim": 2, "grid": {"n": 2**16}})
+    out = tmp_path / "f.moya"
+    argv = ["--config", cfg, "gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: n must be a power of 2")
+    assert not out.exists()

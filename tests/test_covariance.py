@@ -17,7 +17,7 @@ from moyalorbit.geometry import (
     time_reversal,
 )
 from moyalorbit.grids import GridFunction, GridSpec, forward_array, separable_waves, shift
-from moyalorbit.oracle import GaussianFactor, SeparableGaussian
+from moyalorbit.oracle import GaussianFactor, SeparableGaussian, random_gaussian
 
 ST2 = Spacetime(2, (1, -1))
 ST4 = Spacetime(4, (1, -1, -1, -1))
@@ -40,9 +40,7 @@ def line_gaussian(sample, c=0.0, w=1.0):
 
 def small_sample(seed=0, size=3):
     rng = np.random.default_rng(seed)
-    return cov.GroupSample(
-        tuple(random_lorentz(ST2, rng, max_word=2) for _ in range(size))
-    )
+    return tuple(random_lorentz(ST2, rng, max_word=2) for _ in range(size))
 
 
 def test_fibered_function_rejects_wrong_shape_and_non_finite_values():
@@ -78,11 +76,11 @@ def test_tau_and_rho_match_per_fiber_shift_bit_for_bit():
     vals = rng.normal(size=(4, 64, 64)) + 1j * rng.normal(size=(4, 64, 64))
     f = cov.FiberedFunction(sample, SPEC, vals)
     x, alpha = np.array([0.3, -0.45]), np.array([0.8, 0.35])
-    for t, fib, ref in zip(sample.transforms, cov.tau_act(x, f).values, vals):
+    for t, fib, ref in zip(sample, cov.tau_act(x, f).values, vals):
         assert np.array_equal(fib, shift(GridFunction(SPEC, ref), t.matrix @ x).values)
     psi = cov.FiberedFunction(sample, SPEC1D, rng.normal(size=(4, 64)))
     rows = cov.rho_act(alpha, x, psi).values
-    for t, row, ref in zip(sample.transforms, rows, psi.values):
+    for t, row, ref in zip(sample, rows, psi.values):
         single = shift(GridFunction(SPEC1D, ref), alpha @ (t.matrix @ x))
         assert np.array_equal(row, single.values)
 
@@ -92,7 +90,7 @@ def test_tau_act_shifts_each_fiber():
     f = cov.FiberedFunction(sample, SPEC, np.stack([gaussian_fiber(SPEC).values] * len(sample)))
     x = np.array([0.25, -0.1])
     shifted = cov.tau_act(x, f)
-    for t, fib in zip(sample.transforms, shifted.values):
+    for t, fib in zip(sample, shifted.values):
         tx = t.matrix @ x
         expected = gaussian_fiber(SPEC, c=(-tx[0], -tx[1]))
         assert np.max(np.abs(fib - expected.values)) < 1e-9
@@ -102,7 +100,7 @@ def test_gamma_covariance_identity():
     rng = np.random.default_rng(1)
     for s in (parity(ST2), time_reversal(ST2)):
         t = random_lorentz(ST2, rng, max_word=2)
-        sample = cov.GroupSample((t, t.compose(s)))
+        sample = (t, t.compose(s))
         fibers = [
             gaussian_fiber(SPEC, c=(float(rng.uniform(-0.2, 0.2)), 0.0)).values
             for _ in range(2)
@@ -115,7 +113,7 @@ def test_gamma_covariance_identity():
 def test_phi_alpha_equivariance():
     rng = np.random.default_rng(2)
     t = random_lorentz(ST2, rng, max_word=2)
-    sample = cov.GroupSample((t, t.compose(parity(ST2))))
+    sample = (t, t.compose(parity(ST2)))
     psi = line_gaussian(sample, c=0.1, w=1.1)
     alpha = np.array([1.0, 1.0])
     x = np.array([0.15, -0.2])
@@ -217,7 +215,7 @@ def test_rho_act_matches_analytic_shift():
     alpha, x = np.array([1.0, 0.5]), np.array([0.3, -0.2])
     out = cov.rho_act(alpha, x, psi)
     r = SPEC1D.axis()
-    for t, row in zip(sample.transforms, out.values):
+    for t, row in zip(sample, out.values):
         a = alpha @ (t.matrix @ x)
         assert np.max(np.abs(row - periodic_gaussian(r + a, c, w))) <= 1e-10
 
@@ -242,10 +240,17 @@ def test_pointwise_theorem_negative_control():
     assert defect > 1e-2
 
 
-def test_index_of_unknown_transform_raises():
-    sample = small_sample(seed=7, size=2)
-    with pytest.raises(KeyError):
-        sample.index_of(np.eye(2) * 3.0)
+def test_gamma_act_raises_when_a_draw_lacks_t_s_inverse():
+    # the draw (t, t) holds no t P^-1 = t P
+    t = small_sample(seed=7, size=1)[0]
+    f = cov.FiberedFunction((t, t), SPEC, np.zeros((2, 64, 64)))
+    with pytest.raises(KeyError, match="not found"):
+        cov.gamma_act(parity(ST2), f, 2)
+
+
+def test_fibered_function_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="nonempty"):
+        cov.FiberedFunction((), SPEC1D, np.zeros((0, 64)))
 
 
 def per_draw_equivariance(cfg):
@@ -261,7 +266,7 @@ def per_draw_equivariance(cfg):
         c = float(rng.uniform(-0.3, 0.3))
         w = float(rng.uniform(0.9, 1.3))
         psi = cov.FiberedFunction.from_callable(
-            cov.GroupSample((t1, t2)), spec1d, lambda t, r: np.exp(-np.pi * (r - c) ** 2 / w**2)
+            (t1, t2), spec1d, lambda t, r: np.exp(-np.pi * (r - c) ** 2 / w**2)
         )
         alpha = int_alphas[int(rng.integers(len(int_alphas)))]
         x = rng.uniform(-0.3, 0.3, 2)
@@ -271,16 +276,8 @@ def per_draw_equivariance(cfg):
     for _ in range(suites.DRAWS):
         t = random_lorentz(ST2, rng, max_word=2)
         s = reflections[int(rng.integers(2))]
-        fibers = []
-        for _ in range(2):
-            g = SeparableGaussian(
-                tuple(
-                    GaussianFactor(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(1.1, 1.5)))
-                    for _ in range(2)
-                )
-            )
-            fibers.append(GridFunction.from_callable(spec, g).values)
-        f = cov.FiberedFunction(cov.GroupSample((t, t.compose(s))), spec, np.stack(fibers))
+        fibers = [random_gaussian(rng, 2).sample(spec).values for _ in range(2)]
+        f = cov.FiberedFunction((t, t.compose(s)), spec, np.stack(fibers))
         x = rng.uniform(-0.3, 0.3, 2)
         worst_gamma = max(worst_gamma, cov.check_gamma_covariance(s, x, f))
     return worst_phi, worst_gamma
@@ -300,14 +297,14 @@ def test_stacked_gamma_draws_sharing_a_transform_read_as_per_draw_checks(s):
     # two draws with t = P stack to the sample (P, P S, P, P S): each T S^-1
     # must come from T's own draw, not from the first match in the whole sample
     p = parity(ST2)
-    draw = cov.GroupSample((p, p.compose(s)))
+    draw = (p, p.compose(s))
     rng = np.random.default_rng(9)
     fibers = np.stack(
         [gaussian_fiber(SPEC, c=tuple(rng.uniform(-0.2, 0.2, 2))).values for _ in range(4)]
     )
     xs = np.array([[0.2, -0.1], [-0.25, 0.15]])
     draws = [cov.FiberedFunction(draw, SPEC, fibers[2 * i : 2 * i + 2]) for i in range(2)]
-    stacked = cov.FiberedFunction(cov.GroupSample(draw.transforms * 2), SPEC, fibers)
+    stacked = cov.FiberedFunction(draw * 2, SPEC, fibers)
     x_per_fiber = np.repeat(xs, 2, axis=0)
     assert np.array_equal(
         cov.gamma_act(s, stacked, 2).values,
@@ -352,7 +349,7 @@ def test_gamma_covariance_fails_with_s_in_place_of_its_inverse_at_d4(monkeypatch
         ).sample(spec).values
         for _ in draw
     ]
-    f = cov.FiberedFunction(cov.GroupSample(tuple(draw)), spec, fibers)
+    f = cov.FiberedFunction(tuple(draw), spec, fibers)
     x = rng.uniform(-0.3, 0.3, 4)
     assert cov.check_gamma_covariance(r, x, f) <= suites.TOLERANCES["gamma_covariance"]
     monkeypatch.setattr(LorentzTransform, "inverse", lambda self: self)
@@ -398,7 +395,7 @@ def test_one_spectrum_gamma_check_equals_the_two_pass_check_at_d4():
             draws.append(draws[-1].compose(r))
     envelope = np.exp(-np.pi * np.sum(spec.mesh() ** 2, axis=0) / 4)
     fibers = rng.normal(size=(8,) + (8,) * 4) * envelope
-    f = cov.FiberedFunction(cov.GroupSample(tuple(draws)), spec, fibers)
+    f = cov.FiberedFunction(tuple(draws), spec, fibers)
     xs = np.repeat(rng.uniform(-0.3, 0.3, (2, 4)), 4, axis=0)
     value = cov.check_gamma_covariance(r, xs, f, 4)
     assert value == two_pass_gamma_covariance(r, xs, f, 4)

@@ -183,6 +183,27 @@ def test_skew_scaled_and_zero():
         SkewForm.zero(4).assert_invertible()
 
 
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [1e-4 * np.kron(np.eye(2), J), 1e-7 * J, 1e300 * J, np.kron(np.diag([1.0, 1e-11]), J)],
+    ids=["1e-4 (J+J)", "1e-7 J", "1e300 J", "J + 1e-11 J"],
+)
+def test_invertibility_does_not_depend_on_scale(matrix):
+    # |det| of 1e-4 (J+J) is 1e-16 and of 1e-7 J is 1e-14: a det test refuses both
+    SkewForm(matrix).assert_invertible()
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.kron(np.diag([1.0, 1e-15]), J), np.zeros((4, 4))], ids=["J + 1e-15 J", "zero"]
+)
+def test_invertibility_refuses_a_form_singular_at_its_own_scale(matrix):
+    with pytest.raises(ValueError, match="not invertible"):
+        SkewForm(matrix).assert_invertible()
+
+
 def per_letter_random_lorentz(st, rng, max_word=8):
     """The sampler as one validated LorentzTransform per letter and one
     projection per word: the reference of the stacked sampler."""

@@ -50,7 +50,7 @@ def test_tracer_installs_and_traces_a_star_product():
 def test_tracer_traces_the_covariance_spans():
     tracer_module = load_tracer()
     spec1d = GridSpec(dim=1, n=16, length=8.0)
-    sample = cov.GroupSample((make_boost(Spacetime(2, (1, -1)), 1, 0.5),))
+    sample = (make_boost(Spacetime(2, (1, -1)), 1, 0.5),)
     psi = cov.FiberedFunction.from_callable(sample, spec1d, lambda t, r: np.exp(-np.pi * r**2))
     tracer = tracer_module.Tracer()
     tracer.install()
