@@ -224,7 +224,8 @@ def draw_word(st: Spacetime, rng: np.random.Generator, max_word: int) -> np.ndar
     and reflections: the letters multiplied as raw matrices, unprojected and
     unvalidated (to_group finishes the words)."""
     d = st.dim
-    spatial = [i for i, m in enumerate(st.metric) if m == -1]
+    # a boost mixes a -1 axis with a +1 axis, so a metric of one sign has none
+    boost_axes = [i for i, m in enumerate(st.metric) if m == -1] if 1 in st.metric else []
     planes = [
         (i, j)
         for i in range(d)
@@ -235,8 +236,8 @@ def draw_word(st: Spacetime, rng: np.random.Generator, max_word: int) -> np.ndar
     m = np.eye(d)
     for _ in range(length):
         kind = rng.random()
-        if kind < 0.4 and spatial:
-            g = _boost_matrix(st, int(rng.choice(spatial)), float(rng.uniform(-1, 1)))
+        if kind < 0.4 and boost_axes:
+            g = _boost_matrix(st, int(rng.choice(boost_axes)), float(rng.uniform(-1, 1)))
         elif kind < 0.9 and planes:
             plane = planes[int(rng.integers(len(planes)))]
             g = _rotation_matrix(st, plane, float(rng.uniform(0, 2 * np.pi)))

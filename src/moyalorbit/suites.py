@@ -38,19 +38,23 @@ from moyalorbit.operators import apply_blocks, left_regular_blocks, twist
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, random_gaussian
 from moyalorbit.star import involution, semiclassical_sweep, star_product
 
-# The pinned bound of every check: a config sets the model, never the verdict.
+# The pinned bound of every check, keyed by the name its report prints, as
+# (mode, bound): "le" passes value <= bound, "ge" value >= bound and "range"
+# lo <= value <= hi.  A config sets the model, never the verdict.
 TOLERANCES = {
-    "weyl_phase": 1e-12,
-    "weyl_assoc": 1e-12,
-    "phi_equivariance": 1e-9,
-    "gamma_covariance": 1e-9,
-    "blocks_product": 1e-12,  # relative max-abs gap, L_f eta from the blocks vs f * eta
-    "hom_defect": 1e-3,
-    "adjoint_defect": 1e-6,
-    "cstar_defect": 0.05,
-    "positivity": 1e-6,
-    "slope_d1": (0.9, 1.1),
-    "slope_d2": (1.8, 2.2),
+    "weyl_relation_phase": ("le", 1e-12),
+    "generator_associativity": ("le", 1e-12),
+    "phi_equivariance": ("le", 1e-9),
+    "gamma_covariance": ("le", 1e-9),
+    # relative max-abs gap, L_f eta from the blocks vs f * eta
+    "blocks_match_product": ("le", 1e-12),
+    "homomorphism_defect": ("le", 1e-3),
+    "adjoint_defect": ("le", 1e-6),
+    "cstar_identity_defect": ("le", 0.05),
+    "positivity_min_eig": ("ge", -1e-6),  # in units of ||L_f||^2
+    "slope_d1": ("range", (0.9, 1.1)),
+    "slope_d2": ("range", (1.8, 2.2)),
+    "d2_monotone_decreasing": ("ge", 1.0),
 }
 
 DRAWS = 100  # random draws per check of the weyl and equivariance suites
@@ -114,20 +118,16 @@ class RunConfig:
         return standard_skew(self.spacetime())
 
 
-def _check(name: str, value: float, tol, mode: str = "le") -> dict:
-    if mode == "le":
-        ok = value <= tol
-    elif mode == "ge":
-        ok = value >= tol
-    else:  # "range"
+def _check(name: str, value: float, unit: float = 1.0) -> dict:
+    """The report entry of check name: value against its TOLERANCES row, the bound times unit."""
+    mode, bound = TOLERANCES[name]
+    if mode == "range":
+        tol = [b * unit for b in bound]
         ok = tol[0] <= value <= tol[1]
-    return {
-        "name": name,
-        "value": float(value),
-        "tol": list(tol) if mode == "range" else float(tol),
-        "mode": mode,
-        "pass": bool(ok),
-    }
+    else:
+        tol = float(bound * unit)
+        ok = value <= tol if mode == "le" else value >= tol
+    return {"name": name, "value": float(value), "tol": tol, "mode": mode, "pass": bool(ok)}
 
 
 def _report(name: str, checks: list, **extra) -> dict:
@@ -172,8 +172,8 @@ def suite_weyl(cfg: RunConfig) -> dict:
             max(abs(left.terms.get(k, 0) - right.terms.get(k, 0)) for k in keys),
         )
     checks = [
-        _check("weyl_relation_phase", worst_phase, TOLERANCES["weyl_phase"]),
-        _check("generator_associativity", worst_assoc, TOLERANCES["weyl_assoc"]),
+        _check("weyl_relation_phase", worst_phase),
+        _check("generator_associativity", worst_assoc),
     ]
     return _report("weyl", checks)
 
@@ -242,8 +242,8 @@ def suite_equivariance(cfg: RunConfig) -> dict:
         f = cov.FiberedFunction(sample, spec, [g.sample(spec).values for g in gaussians])
         worst_gamma = max(worst_gamma, cov.check_gamma_covariance(reflections[k], xs, f, 2))
     checks = [
-        _check("phi_equivariance", worst_phi, TOLERANCES["phi_equivariance"]),
-        _check("gamma_covariance", worst_gamma, TOLERANCES["gamma_covariance"]),
+        _check("phi_equivariance", worst_phi),
+        _check("gamma_covariance", worst_gamma),
     ]
     return _report("equivariance", checks)
 
@@ -298,16 +298,11 @@ def suite_cstar(cfg: RunConfig) -> dict:
     cstar = abs(norm_fsf - norm_f**2) / norm_f**2
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (bfsf + _adjoint(bfsf)))))
     checks = [
-        _check("blocks_match_product", product_gap, TOLERANCES["blocks_product"]),
-        _check("homomorphism_defect", hom, TOLERANCES["hom_defect"]),
-        _check("adjoint_defect", adj, TOLERANCES["adjoint_defect"]),
-        _check("cstar_identity_defect", cstar, TOLERANCES["cstar_defect"]),
-        _check(
-            "positivity_min_eig",
-            min_eig,
-            -TOLERANCES["positivity"] * norm_f**2,
-            mode="ge",
-        ),
+        _check("blocks_match_product", product_gap),
+        _check("homomorphism_defect", hom),
+        _check("adjoint_defect", adj),
+        _check("cstar_identity_defect", cstar),
+        _check("positivity_min_eig", min_eig, norm_f**2),
     ]
     grid = {"n": n, "length": spec.length, "theta": spec.theta, "twist": twist(spec, sigma)}
     return _report("cstar", checks, grid=grid)
@@ -317,22 +312,14 @@ def suite_semiclassical(cfg: RunConfig) -> dict:
     """Log-log slopes of the commutative-limit defects D1 and D2."""
     f, g = semiclassical_pair(cfg)
     result = semiclassical_sweep(f, g, PLANE_FORM, SEMICLASSICAL_THETAS)
+    rows = result["rows"]
+    decreasing = all(b["d2"] < a["d2"] for a, b in zip(rows, rows[1:]))
     checks = [
-        _check("slope_d1", result["slope_d1"], TOLERANCES["slope_d1"], mode="range"),
-        _check("slope_d2", result["slope_d2"], TOLERANCES["slope_d2"], mode="range"),
-        _check(
-            "d2_monotone_decreasing",
-            float(
-                all(
-                    b["d2"] < a["d2"]
-                    for a, b in zip(result["rows"], result["rows"][1:])
-                )
-            ),
-            1.0,
-            mode="ge",
-        ),
+        _check("slope_d1", result["slope_d1"]),
+        _check("slope_d2", result["slope_d2"]),
+        _check("d2_monotone_decreasing", float(decreasing)),
     ]
-    return _report("semiclassical", checks, rows=result["rows"])
+    return _report("semiclassical", checks, rows=rows)
 
 
 SUITES = {

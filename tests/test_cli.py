@@ -459,16 +459,16 @@ def test_misspelled_tolerance_is_usage_error(tmp_path, capsys):
 
 
 def test_block_structure_bound_is_not_a_tolerance_key(tmp_path, capsys):
-    # blocks_product sits in the pinned table, but no config can reach it
-    assert suites.TOLERANCES["blocks_product"] == 1e-12
-    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"blocks_product": 1.0}})
+    # blocks_match_product has a row in the pinned table, but no config can reach it
+    assert suites.TOLERANCES["blocks_match_product"] == ("le", 1e-12)
+    cfg = write_cfg(tmp_path, {"dim": 2, "tolerances": {"blocks_match_product": 1.0}})
     rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
     assert rc == 2
     assert "'tolerances'" in capsys.readouterr().err
 
 
 def test_impossible_bound_is_check_failure(tmp_path, monkeypatch):
-    monkeypatch.setitem(suites.TOLERANCES, "weyl_phase", -1.0)
+    monkeypatch.setitem(suites.TOLERANCES, "weyl_relation_phase", ("le", -1.0))
     rc = main(["verify", "--suite", "weyl", "--out", str(tmp_path)])
     assert rc == 1
 
@@ -808,6 +808,15 @@ def test_sigma0_invertibility_does_not_depend_on_scale_or_dim(tmp_path, capsys, 
     assert main(["--config", cfg, "orbit", "-n", "2", "--out", str(tmp_path / "out")]) == code
     if code == 2:
         assert capsys.readouterr().err == "error: skew form is not invertible\n"
+
+
+@pytest.mark.parametrize("metric", [[-1, -1, -1, -1], [-1, -1], [1, 1, 1, 1]])
+def test_a_metric_of_one_sign_samples_the_orbit(tmp_path, metric):
+    # (-1, ..., -1) offered boosts, which need a +1 axis, and exited 2
+    cfg = write_cfg(tmp_path, {"dim": len(metric), "metric": metric})
+    out = str(tmp_path / "out")
+    assert main(["--config", cfg, "orbit", "-n", "20", "--out", out]) == 0
+    assert main(["--config", cfg, "verify", "--suite", "weyl", "--out", out]) == 0
 
 
 def test_grid_n_beyond_the_header_u16_is_refused_at_load(tmp_path, capsys):

@@ -134,6 +134,17 @@ def test_orbit_invariants_constant_on_orbit():
         assert np.max(np.abs(orbit_invariants(s, ST4) - base)) < 1e-8
 
 
+@pytest.mark.parametrize("metric", [(-1, -1, -1, -1), (-1, -1), (1, 1, 1, 1), (1, 1)])
+def test_a_metric_of_one_sign_samples_without_boosts(metric):
+    # a boost mixes a +1 axis with a -1 axis; drawing one on (-1, ..., -1) raised
+    st = Spacetime(len(metric), metric)
+    sigma = standard_skew(st)
+    base = orbit_invariants(sigma, st)
+    for t, s in sample_orbit(st, 20, seed=5, sigma0=sigma):
+        assert np.max(np.abs(t.matrix.T @ st.eta @ t.matrix - st.eta)) <= 1e-12
+        assert np.max(np.abs(orbit_invariants(s, st) - base)) < 1e-8
+
+
 def test_sample_orbit_consistency_and_determinism():
     pairs = sample_orbit(ST4, 10, seed=3)
     sigma = standard_skew(ST4)

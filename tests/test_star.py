@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from moyalorbit.geometry import (
+    LorentzTransform,
     SkewForm,
     Spacetime,
     act_on_form,
@@ -619,3 +620,57 @@ def test_reflection_covariance_fails_off_closed_twist(name):
     f = random_grid(spec, 3)
     g = random_grid(spec, 4)
     assert reflection_defect(f, g, PLANE, REFLECTIONS[name]) > 1e-2
+
+
+def closed_twist_defects(spec, sigma, seed, outer=None):
+    """(associativity, involution) defects, relative max-abs, on seeded noise
+    f, g, h: (f * g) * h against f * (g * h), and (f * g)* against g* * f*.
+    outer, if set, is the form of the outer product of (f * g) * h."""
+    f, g, h = (random_grid(spec, seed + i) for i in range(3))
+    fg = star_product(f, g, sigma)
+    left = star_product(fg, h, sigma if outer is None else outer)
+    assoc = max_rel(left.values, star_product(f, star_product(g, h, sigma), sigma).values)
+    adjoint = star_product(involution(g), involution(f), sigma)
+    return assoc, max_rel(involution(fg).values, adjoint.values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 32]),
+    length=st.sampled_from([6.0, 8.0]),
+    c=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_twist_product_is_an_exact_algebra_on_noise(n, length, c, seed):
+    # at the integral twist c = theta s N / L^2 the product is a finite twisted
+    # convolution: associative and *-compatible on any grid data, band edge included
+    theta = abs(c) * length**2 / n
+    spec = GridSpec(dim=2, n=n, length=length, theta=theta)
+    sigma = PLANE.scaled(float(np.sign(c)))
+    assert max(closed_twist_defects(spec, sigma, seed)) <= 1e-12
+    # negative controls: an open twist, and -sigma in the outer product
+    open_spec = GridSpec(dim=2, n=n, length=length, theta=1.3 * theta)
+    assert closed_twist_defects(open_spec, sigma, seed)[0] > 0.1
+    assert closed_twist_defects(spec, sigma, seed, outer=sigma.scaled(-1.0))[0] > 0.1
+
+
+def test_product_is_covariant_under_space_axis_permutations_d4():
+    # alpha_L (f *_sigma g) = (alpha_L f) *_{L sigma L^t} (alpha_L g), alpha_L f = f o L^-1,
+    # holds exactly on the lattice for an unsigned permutation L of the space axes,
+    # at an open twist and on dense orbit forms.  L = I[p] (row i is e_p[i]), so
+    # (L^-1 q)_p[i] = q_i and alpha_L transposes the values' axes by p.
+    st4 = Spacetime()
+    sigma0 = standard_skew(st4)
+    forms = [sigma0] + [s for _, s in sample_orbit(st4, 3, 7, sigma0)]
+    spec = GridSpec(dim=4, n=8, length=8.0, theta=1.3)
+    f, g = random_grid(spec, 11), random_grid(spec, 12)
+    products = [star_product(f, g, sigma).values for sigma in forms]
+    for p in [(0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2)]:  # a swap and two 3-cycles
+        lam = LorentzTransform(np.eye(4)[list(p)], st4)
+        fp, gp = (GridFunction(spec, np.transpose(h.values, p)) for h in (f, g))
+        for sigma, fg in zip(forms, products):
+            moved = star_product(fp, gp, act_on_form(lam, sigma)).values
+            assert max_rel(moved, np.transpose(fg, p)) <= 1e-13
+        # negative control: sigma kept in place of L sigma L^t
+        kept = star_product(fp, gp, forms[-1]).values
+        assert max_rel(kept, np.transpose(products[-1], p)) > 0.5
