@@ -36,9 +36,9 @@ CHECK_FAILURE = 1
 
 # glibc mallopt parameters (malloc.h) and the values main sets: blocks up to
 # 32 MiB come from the heap, and freed heap pages stay in the process.  With
-# glibc's defaults, the equivariance suite's stacked 2 MiB passes hand the top
-# of the heap back to the kernel and fault it in again (about 20,400 minor
-# faults per in-process verify-all run; a few dozen with both settings).
+# glibc's defaults, the equivariance suite's stacked 0.5 MiB passes hand the
+# top of the heap back to the kernel and fault it in again (about 31,600 minor
+# faults per warm in-process verify-all run; a few dozen with both settings).
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 32 << 20

@@ -16,6 +16,7 @@ Phi^alpha equivariant exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,23 @@ def rho_act(alpha, x, psi: FiberedFunction) -> FiberedFunction:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _phi_tables(alpha: tuple, spec1d: GridSpec, grid: GridSpec) -> tuple:
+    """phi_alpha's read-only wave tables (head^T, last) for covector alpha.
+
+    e(alpha(q) p) = e(p alpha_head.q_head) e(p alpha_d q_d): one table over the
+    leading axes and one over the last, so each fiber is head^T diag(coeffs) last.
+    A stacked pass of one covector reuses them instead of rebuilding both.
+    """
+    p = spec1d.dual_axis()
+    alpha = np.array(alpha)
+    head = separable_waves(np.outer(p, alpha[:-1]), grid.axis()).reshape(len(p), -1)
+    last = separable_waves(np.outer(p, alpha[-1:]), grid.axis())
+    head.setflags(write=False)
+    last.setflags(write=False)
+    return head.T, last
+
+
 def phi_alpha(alpha, psi: FiberedFunction, grid: GridSpec) -> FiberedFunction:
     """(Phi^alpha psi)(T, q) = psi(T, alpha(q)), by spectral interpolation."""
     spec1d = psi.spec
@@ -134,16 +152,12 @@ def phi_alpha(alpha, psi: FiberedFunction, grid: GridSpec) -> FiberedFunction:
     alpha = np.asarray(alpha, dtype=float)
     if grid.dim < 2 or alpha.shape != (grid.dim,):
         raise ValueError(f"alpha must be a covector of length grid.dim >= 2, got {alpha.shape}")
-    p = spec1d.dual_axis()
     coeffs = forward_array(psi.values, spec1d) * spec1d.dx  # (n_fibers, N)
     # the -N/2 mode has no +N/2 partner on the grid, so a negative entry of
     # alpha would send it off the grid and break equivariance: drop it
     coeffs[:, 0] = 0
-    # e(alpha(q) p) = e(p alpha_head.q_head) e(p alpha_d q_d): one table over the
-    # leading axes and one over the last, so each fiber is head^T diag(coeffs) last
-    head = separable_waves(np.outer(p, alpha[:-1]), grid.axis()).reshape(len(p), -1)
-    last = separable_waves(np.outer(p, alpha[-1:]), grid.axis())
-    values = (head.T * coeffs[:, None, :]) @ last * spec1d.dp
+    head_t, last = _phi_tables(tuple(alpha.tolist()), spec1d, grid)
+    values = (head_t * coeffs[:, None, :]) @ last * spec1d.dp
     shape = (len(coeffs),) + (grid.n,) * grid.dim
     return FiberedFunction(psi.sample, grid, values.reshape(shape))
 

@@ -195,7 +195,7 @@ def semiclassical_sweep(
 ) -> dict:
     """D1 and D2 across a decreasing theta list, with fitted log-log slopes.
 
-    A theta at which D1 or D2 is not finite raises ValueError.
+    A theta at which D1 or D2 is not finite, or not positive, raises ValueError.
     """
     thetas = [float(t) for t in thetas]
     if any(t <= 0 for t in thetas) or any(b >= a for a, b in zip(thetas, thetas[1:])):
@@ -205,6 +205,10 @@ def semiclassical_sweep(
         d1, d2 = semiclassical_defects(f, g, sigma, t)
         if not np.isfinite(d1) or not np.isfinite(d2):  # (1/theta)(f*g - g*f) overflowed
             raise ValueError(f"D1 = {d1!r}, D2 = {d2!r} at theta = {t!r}: theta is too small")
+        if d1 <= 0 or d2 <= 0:  # log 0 leaves no slope to fit
+            raise ValueError(
+                f"D1 = {d1!r}, D2 = {d2!r} at theta = {t!r}: a log-log slope needs positive defects"
+            )
         rows.append({"theta": t, "d1": d1, "d2": d2})
     if len(rows) >= 2:
         logt = np.log([r["theta"] for r in rows])

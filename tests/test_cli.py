@@ -9,6 +9,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from moyalorbit.gridio import read_grid
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
 from moyalorbit.star import star_product
-from moyalorbit.suites import SEMICLASSICAL_THETAS, RunConfig, suite_semiclassical
+from moyalorbit.suites import SEMICLASSICAL_THETAS, RunConfig, run_suite, suite_semiclassical
 
 PLANE_CFG = {"dim": 2, "metric": [1, -1], "grid": {"n": 32}}
 
@@ -442,6 +443,23 @@ def test_sweep_overflow_prints_only_the_error_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command", [["sweep", "--theta", "1,0.5"], ["verify", "--suite", "semiclassical"]]
+)
+def test_zero_defects_are_usage_errors(tmp_path, capsys, command):
+    # on a box of length 1e-30 both Gaussians are constant, so D1 = D2 = 0
+    # exactly: log 0 gives no slope, and an input outside the model is not a
+    # failed check
+    cfg = write_cfg(tmp_path, {"grid": {"length": 1e-30}})
+    rc = main(["--config", cfg, *command, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: D1 = 0.0, D2 = 0.0 at theta = 1.0: a log-log slope needs positive defects\n"
+    )
+    assert not any((tmp_path / "out").glob("*"))
+
+
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, {"dim": 2, "bogus": 1})
     rc = main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(tmp_path)])
@@ -711,6 +729,21 @@ def test_warm_verify_keeps_its_heap_pages(tmp_path):
         assert main(argv) == 0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults <= 1000
+
+
+def test_warm_verify_all_traces_under_4_mib():
+    # the whole verify path's working set: equivariance passes of 8 fibers of
+    # 64^2 (0.5 MiB per array) set it at about 3.2 MiB; passes of 32 fibers
+    # read 11.4 MiB
+    cfg = RunConfig()
+    run_suite("all", cfg)  # first-call imports and set-up stay out of the trace
+    tracemalloc.start()
+    try:
+        run_suite("all", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_verify_report_does_not_depend_on_the_allocator(tmp_path):
