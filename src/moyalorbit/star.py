@@ -195,9 +195,11 @@ def semiclassical_sweep(
 ) -> dict:
     """D1 and D2 across a decreasing theta list, with fitted log-log slopes.
 
-    A theta at which D1 or D2 is not finite, or not positive, raises ValueError.
+    Fewer than 2 thetas, or a theta where D1 or D2 is not finite and positive, raise ValueError.
     """
     thetas = [float(t) for t in thetas]
+    if len(thetas) < 2:
+        raise ValueError(f"a log-log slope needs at least 2 thetas, got {len(thetas)}")
     if any(t <= 0 for t in thetas) or any(b >= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("thetas must be positive and strictly decreasing")
     rows = []
@@ -210,12 +212,9 @@ def semiclassical_sweep(
                 f"D1 = {d1!r}, D2 = {d2!r} at theta = {t!r}: a log-log slope needs positive defects"
             )
         rows.append({"theta": t, "d1": d1, "d2": d2})
-    if len(rows) >= 2:
-        logt = np.log([r["theta"] for r in rows])
-        slope_d1 = float(np.polyfit(logt, np.log([r["d1"] for r in rows]), 1)[0])
-        slope_d2 = float(np.polyfit(logt, np.log([r["d2"] for r in rows]), 1)[0])
-    else:
-        slope_d1 = slope_d2 = float("nan")
+    logt = np.log(thetas)
+    slope_d1 = float(np.polyfit(logt, np.log([r["d1"] for r in rows]), 1)[0])
+    slope_d2 = float(np.polyfit(logt, np.log([r["d2"] for r in rows]), 1)[0])
     return {"rows": rows, "slope_d1": slope_d1, "slope_d2": slope_d2}
 
 

@@ -66,11 +66,6 @@ PLANE = Spacetime(2, (1, -1))
 PLANE_FORM = standard_skew(PLANE)
 
 
-def _check_dim(dim: int) -> None:
-    if not 0 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be in 0..{MAX_DIM}, the .moya header's u8, got {dim}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Run parameters: spacetime, optional sigma0 override, grid, seed."""
@@ -91,7 +86,8 @@ class RunConfig:
         # GridSpec, Spacetime and SkewForm hold the rules: a bad config fails at load
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        _check_dim(self.dim)  # before the metric's list is built
+        if not 0 <= self.dim <= MAX_DIM:  # before the metric's list is built
+            raise ValueError(f"dim must be in 0..{MAX_DIM}, the .moya header's u8, got {self.dim}")
         if self.metric is None:
             object.__setattr__(self, "metric", tuple([1] + [-1] * (self.dim - 1)))
         GridSpec(dim=1, n=self.n, length=self.length, theta=self.theta)

@@ -339,7 +339,8 @@ def test_stacked_gamma_draws_sharing_a_transform_read_as_per_draw_checks(s):
 
 def test_equivariance_suite_peak_memory_is_chunked():
     # passes of 8 fibers peak at about 3.1 MiB, of 32 fibers at 11.4 MiB, and
-    # all 200 fibers in one stacked pass at about 106 MiB
+    # all 200 fibers in one stacked pass at about 106 MiB; gamma fibers held
+    # through each check read about 3.6 MiB
     cfg = suites.RunConfig()
     suites.suite_equivariance(cfg)  # first-call set-up stays out of the trace
     tracemalloc.start()
@@ -348,7 +349,7 @@ def test_equivariance_suite_peak_memory_is_chunked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert peak <= 3.5 * 2**20
 
 
 def test_gamma_covariance_fails_with_s_in_place_of_its_inverse_at_d4(monkeypatch):

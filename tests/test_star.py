@@ -355,6 +355,9 @@ def test_sweep_rejects_bad_theta_lists():
         semiclassical_sweep(f, g, PLANE, [0.5, 1.0])
     with pytest.raises(ValueError):
         semiclassical_sweep(f, g, PLANE, [1.0, -0.5])
+    for thetas in ([1.0], []):  # one theta leaves no slope to fit
+        with pytest.raises(ValueError, match="at least 2"):
+            semiclassical_sweep(f, g, PLANE, thetas)
 
 
 def test_interior_mask_and_relative_l2():

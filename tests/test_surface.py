@@ -164,6 +164,40 @@ def _public_defs(module: str, tree: ast.Module) -> dict:
     return {q: name for q, name in defs.items() if not name.startswith("_")}
 
 
+def _stderr_lines(module: str, tree: ast.Module) -> list:
+    """(module.owner, leading text or None) of each statement that names stderr;
+    the owner is the top-level definition that holds it."""
+    found = []
+    for top in tree.body:
+        owner = f"{module}.{getattr(top, 'name', '<module>')}"
+        for stmt in (node for node in ast.walk(top) if isinstance(node, ast.stmt)):
+            own = [  # the statement's own nodes, not those of the statements it holds
+                node
+                for child in ast.iter_child_nodes(stmt)
+                if not isinstance(child, (ast.stmt, ast.excepthandler))
+                for node in ast.walk(child)
+            ]
+            if any(
+                getattr(node, "attr", None) == "stderr"
+                or getattr(node, "id", None) == "stderr"
+                or (isinstance(node, ast.alias) and node.name == "stderr")
+                for node in own
+            ):
+                texts = [n.value for n in own if isinstance(getattr(n, "value", None), str)]
+                found.append((owner, texts[0] if texts else None))
+    return found
+
+
+def test_only_main_error_line_writes_to_stderr():
+    # every output depends only on the inputs and flags: no command prints timings
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _stderr_lines(path.stem, ast.parse(path.read_text()))
+    assert found == [("cli.main", "error: ")]
+    other = "from sys import stderr\ndef f(t):\n    if t:\n        sys.stderr.write('took')\n"
+    assert _stderr_lines("m", ast.parse(other)) == [("m.<module>", None), ("m.f", "took")]
+
+
 def test_src_has_no_unused_imports():
     offenders = {
         path.name: _unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
