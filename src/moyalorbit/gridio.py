@@ -3,11 +3,11 @@ and the file I/O of every command.
 
 The .moya format: a 16-byte header (magic "MOYA", u8 version, u8 dim,
 u16 N, f32 L, 4 pad bytes, all little-endian) followed by N^d complex
-float64 values, row-major.  A JSON sidecar <path>.json carries the grid
-spec, theta, the skew form and a `gauss` grid's Gaussian, one c,w,b row per
-axis.  Every JSON input is read by read_json and typed by json_value.  An
-OSError while reading or writing is a ValueError "cannot read|write PATH:
-reason" (io_errors).
+float64 values, row-major.  A required JSON sidecar <path>.json carries the
+grid spec and theta, and optionally the skew form and a `gauss` grid's
+Gaussian, one c,w,b row per axis.  Every JSON input is read by read_json and
+typed by json_value.  An OSError while reading or writing is a ValueError
+"cannot read|write PATH: reason" (io_errors).
 """
 
 from __future__ import annotations
@@ -130,11 +130,11 @@ def write_grid(path, f: GridFunction, sigma: SkewForm | None = None) -> None:
 
 def read_grid(path) -> tuple:
     """(GridFunction, sigma or None, SeparableGaussian or None): the sidecar is
-    parsed once and typed by SIDECAR_KEYS, and an error in it names it."""
+    required, parsed once and typed by SIDECAR_KEYS, and an error in it names
+    it.  It must hold dim, n, length and theta; sigma and gaussian are optional."""
     path, side = Path(path), sidecar_path(path)
     with io_errors("read"):
         raw = path.read_bytes()
-    exists = side.exists()
     if len(raw) < 16:
         raise FormatError(f"{path}: file too short for a .moya header")
     magic, version, dim, n, length = struct.unpack(_HEADER, raw[:16])
@@ -142,11 +142,14 @@ def read_grid(path) -> tuple:
         raise FormatError(f"{path}: bad magic; not a .moya file")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    sidecar = read_json(side) if exists else {}
+    sidecar = read_json(side)
     try:
         sidecar = json_value(SIDECAR_KEYS, sidecar, "sidecar")
+        missing = {"dim", "n", "length", "theta"} - set(sidecar)
+        if missing:
+            raise FormatError(f"missing sidecar keys: {sorted(missing)}")
         for key, value in (("dim", dim), ("n", n)):
-            if sidecar.get(key, value) != value:
+            if sidecar[key] != value:
                 raise FormatError(f"sidecar.{key} {sidecar[key]} disagrees with header {value}")
         sigma = SkewForm(np.asarray(sidecar["sigma"])) if "sigma" in sidecar else None
         gaussian = None
@@ -155,12 +158,12 @@ def read_grid(path) -> tuple:
             if len(rows) != dim or any(len(row) != 3 for row in rows):
                 raise FormatError(f"sidecar.gaussian must hold {dim} c,w,b rows, one per axis")
             gaussian = SeparableGaussian(tuple(GaussianFactor(*row) for row in rows))
-        spec = GridSpec(dim, n, sidecar.get("length", length), sidecar.get("theta", 1.0))
+        spec = GridSpec(dim, n, sidecar["length"], sidecar["theta"])
         # the header holds L as f32; the sidecar holds it exactly
         if np.float32(spec.length) != np.float32(length):
             raise FormatError(f"sidecar.length {spec.length} disagrees with header {length}")
     except ValueError as exc:
-        raise FormatError(f"{side if exists else path}: {exc}") from None
+        raise FormatError(f"{side}: {exc}") from None
     if len(raw) - 16 != 16 * spec.size:
         raise FormatError(f"{path}: {len(raw) - 16} payload bytes, expected {16 * spec.size}")
     values = np.frombuffer(raw[16:], dtype="<c16")  # GridFunction copies it

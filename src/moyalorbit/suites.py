@@ -57,6 +57,14 @@ TOLERANCES = {
     "d2_monotone_decreasing": ("ge", 1.0),
 }
 
+# suite_weyl refuses a base form whose phases Q = beta(sigma alpha), over the
+# pairs it multiplies, pass this cut in absolute value.  The roundoff of e(Q)
+# grows as eps |Q|: at sigma0 = 1e2 J to 1e6 J, d = 2 and 4, seeds 0, 7, 11,
+# 123 and 4001, the generator_associativity defect reads 0.5e-15 to 1.8e-15
+# times max |Q| (median 1e-15).  Past 1e5 it sits about 100x over its 1e-12
+# bound, so the input, not the paper's claim, is what fails.
+WEYL_PHASE_CUT = 1e5
+
 DRAWS = 100  # random draws per check of the weyl and equivariance suites
 STACK_ENTRIES = 2**15  # grid entries per stacked equivariance pass: 8 fibers of 64^2, 0.5 MiB
 SEMICLASSICAL_THETAS = (1.0, 0.5, 0.25, 0.125, 0.0625)
@@ -146,16 +154,18 @@ def suite_weyl(cfg: RunConfig) -> dict:
     forms = [s for _, s in sample_orbit(st, DRAWS, cfg.seed, sigma0)]
     worst_phase = 0.0
     worst_assoc = 0.0
+    phases = []  # Q of every pair multiplied
     for sigma in forms:
         alpha = rng.uniform(-1, 1, st.dim)
         beta = rng.uniform(-1, 1, st.dim)
         gamma = rng.uniform(-1, 1, st.dim)
         ua, ub, ug = (weyl.unit_u(v, sigma) for v in (alpha, beta, gamma))
+        (ka,), (kb,), (kg,) = ua.terms, ub.terms, ug.terms  # the quantized covectors
+        a, b, g = (weyl.key_to_covector(k) for k in (ka, kb, kg))
+        phases += [q_form(sigma, x, y) for x, y in ((a, b), (a + b, g), (b, g), (a, b + g))]
         prod = weyl.mul(ua, ub)
-        (ka,), (kb,) = ua.terms, ub.terms  # the quantized alpha and beta
         key = tuple(x + y for x, y in zip(ka, kb))
-        a_exact, b_exact = weyl.key_to_covector(ka), weyl.key_to_covector(kb)
-        expected = weyl.e(q_form(sigma, a_exact, b_exact))
+        expected = weyl.e(q_form(sigma, a, b))
         if set(prod.terms) != {key}:
             worst_phase = np.inf
         else:
@@ -166,6 +176,12 @@ def suite_weyl(cfg: RunConfig) -> dict:
         worst_assoc = max(
             worst_assoc,
             max(abs(left.terms.get(k, 0) - right.terms.get(k, 0)) for k in keys),
+        )
+    largest = float(np.max(np.abs(phases)))
+    if not largest <= WEYL_PHASE_CUT:  # NaN included
+        raise ValueError(
+            f"sigma0 is outside the model: the Weyl phases reach max|Q| = {largest:.3g}, "
+            f"past the cut {WEYL_PHASE_CUT:g} where the roundoff of e(Q) passes the check bounds"
         )
     checks = [
         _check("weyl_relation_phase", worst_phase),
@@ -185,9 +201,8 @@ def _stacked_passes(draws: list, spec: GridSpec):
         group = [d for d in draws if d[0] == key]
         step = max(1, STACK_ENTRIES // (len(group[0][1]) * spec.size))
         for chunk in (group[i : i + step] for i in range(0, len(group), step)):
-            sample = tuple(t for d in chunk for t in d[1])
-            items = [item for d in chunk for item in d[2]]
-            yield key, sample, items, [d[3] for d in chunk for _ in d[1]]
+            fibers = [fiber for _, ts, items, x in chunk for fiber in zip(ts, items, [x] * len(ts))]
+            yield key, *zip(*fibers)
 
 
 def suite_equivariance(cfg: RunConfig) -> dict:
@@ -204,37 +219,30 @@ def suite_equivariance(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed + 1)
     int_alphas = [np.array(a, dtype=float) for a in ((1, 0), (0, 1), (1, 1), (1, -1))]
     words = []  # every draw's words, in drawing order: 2 per Phi draw, then 1 per gamma draw
-    phi_items = []  # (alpha index, psi on the line per fiber, x)
+    phi = []  # (alpha index, psi on the line per fiber, x)
     for _ in range(DRAWS):
         words += [draw_word(PLANE, rng, 2) for _ in range(2)]
         c = float(rng.uniform(-0.3, 0.3))
         w = float(rng.uniform(0.9, 1.3))
         line = np.exp(-np.pi * (spec1d.axis() - c) ** 2 / w**2)
         alpha = int(rng.integers(len(int_alphas)))
-        x = rng.uniform(-0.3, 0.3, 2)
-        phi_items.append((alpha, (line, line), x))
-    gamma_items = []  # (reflection index, a Gaussian per fiber, x)
+        phi.append((alpha, (line, line), rng.uniform(-0.3, 0.3, 2)))
+    gamma = []  # (reflection index, a Gaussian per fiber, x)
     for _ in range(DRAWS):
         words.append(draw_word(PLANE, rng, 2))
         k = int(rng.integers(2))
         gaussians = [random_gaussian(rng, spec.dim) for _ in range(2)]
-        x = rng.uniform(-0.3, 0.3, 2)
-        gamma_items.append((k, gaussians, x))
-    transforms = to_group(PLANE, words)
-    pairs = zip(transforms[: 2 * DRAWS : 2], transforms[1 : 2 * DRAWS : 2])
-    # (alpha index, (t1, t2), lines, x) and (reflection index, (t, t S), gaussians, x)
-    phi_draws = [(a, pair, lines, x) for pair, (a, lines, x) in zip(pairs, phi_items)]
+        gamma.append((k, gaussians, rng.uniform(-0.3, 0.3, 2)))
+    t = iter(to_group(PLANE, words))  # handed out in drawing order
     reflections = [parity(PLANE), time_reversal(PLANE)]
-    gamma_draws = [
-        (k, (t, t.compose(reflections[k])), gaussians, x)
-        for t, (k, gaussians, x) in zip(transforms[2 * DRAWS :], gamma_items)
-    ]
+    phi = [(a, (next(t), next(t)), lines, x) for a, lines, x in phi]
+    gamma = [(k, (u, u.compose(reflections[k])), gs, x) for (k, gs, x), u in zip(gamma, t)]
     worst_phi = 0.0
-    for alpha, sample, lines, xs in _stacked_passes(phi_draws, spec):
+    for alpha, sample, lines, xs in _stacked_passes(phi, spec):
         psi = cov.FiberedFunction(sample, spec1d, lines)
         worst_phi = max(worst_phi, cov.check_phi_equivariance(int_alphas[alpha], xs, psi, spec))
     worst_gamma = 0.0
-    for k, sample, gaussians, xs in _stacked_passes(gamma_draws, spec):
+    for k, sample, gaussians, xs in _stacked_passes(gamma, spec):
         f = cov.FiberedFunction(sample, spec, [g.sample(spec).values for g in gaussians])
         worst_gamma = max(worst_gamma, cov.check_gamma_covariance(reflections[k], xs, f, 2))
     checks = [

@@ -176,6 +176,25 @@ def test_non_finite_sigma0_is_usage_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "dim, scale, code",
+    [(2, 300.0, 0), (4, 100.0, 0), (2, 1e3, 1), (2, 1e5, 2), (2, 1e300, 2), (4, 1e300, 2)],
+)
+def test_verify_weyl_refuses_sigma0_past_the_phase_cut(tmp_path, capsys, dim, scale, code):
+    # the Weyl phases Q grow with sigma0, and the roundoff of e(Q) with them:
+    # 300 J at d = 2 and 100 J at d = 4 pass, 1e3 J fails the 1e-12 bound, and
+    # past suites.WEYL_PHASE_CUT the input is refused rather than read as a failed claim
+    sigma0 = scale * np.kron(np.eye(dim // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    cfg = write_cfg(tmp_path, {"dim": dim, "sigma0": sigma0.tolist()})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "verify", "--suite", "weyl", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: sigma0 is outside the model") and err.count("\n") == 1
+        assert f"past the cut {suites.WEYL_PHASE_CUT:g}" in err
+    assert (out / "verify_weyl.json").exists() == (code != 2)
+
+
 def test_non_finite_sidecar_sigma_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, PLANE_CFG)
     paths = _gauss_pair(tmp_path, cfg)
@@ -299,6 +318,28 @@ def test_sidecar_input_errors_name_the_sidecar(tmp_path, capsys, edit):
     assert main(["--config", cfg, "star", str(f_path), str(g_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sidecar}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", [None, "dim", "n", "length", "theta"])
+def test_grid_without_its_sidecar_or_a_spec_key_is_usage_error(tmp_path, capsys, key):
+    # theta lives only in the sidecar: a missing sidecar or key must not run at theta = 1
+    cfg = write_cfg(tmp_path, dict(PLANE_CFG, grid={"n": 32, "theta": 0.5}))
+    path = tmp_path / "g.moya"
+    argv = ["--config", cfg, "gauss", "--factor=0,1.2,0", "--factor=0,1.2,0"]
+    assert main([*argv, "--out", str(path)]) == 0
+    sidecar = path.with_suffix(".moya.json")
+    if key is None:
+        sidecar.unlink()
+    else:
+        data = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({k: v for k, v in data.items() if k != key}))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["--config", cfg, "star", str(path), str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(sidecar) in err and err.count("\n") == 1
+    assert key is None or f"missing sidecar keys: ['{key}']" in err
     assert not out.exists()
 
 

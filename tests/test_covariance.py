@@ -304,9 +304,16 @@ def per_draw_equivariance(cfg):
     return worst_phi, worst_gamma
 
 
-@pytest.mark.parametrize("seed", [0, 11, 4001])
-def test_stacked_equivariance_suite_equals_per_draw_passes(seed):
-    cfg = suites.RunConfig(seed=seed)
+@pytest.mark.parametrize(
+    "cfg",
+    [pytest.param(suites.RunConfig(seed=seed), id=str(seed)) for seed in (0, 11, 4001)]
+    + [
+        # at seed 0 on grids whose passes chunk the draws in other sizes
+        pytest.param(suites.RunConfig(n=n, length=length), id=f"n{n}-L{length:g}")
+        for n, length in ((16, 8.0), (32, 8.0), (64, 6.0), (64, 16.0))
+    ],
+)
+def test_stacked_equivariance_suite_equals_per_draw_passes(cfg):
     report = suites.suite_equivariance(cfg)
     values = tuple(check["value"] for check in report["checks"])
     assert [check["name"] for check in report["checks"]] == ["phi_equivariance", "gamma_covariance"]

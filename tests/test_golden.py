@@ -2,7 +2,8 @@
 
 A refactor must keep every output byte-identical.  The files in tests/data
 hold gridio.json_text(run_suite("all", RunConfig(seed=s))) for each seed in
-SEEDS, the bytes `verify --suite all --seed s` writes, and COMMAND_DIGESTS
+SEEDS, the bytes `verify --suite all --seed s` writes, the same report for
+the plane config {"dim": 2} at seed 0 (PLANE_GOLDEN), and COMMAND_DIGESTS
 holds the SHA-256 of every file that COMMANDS writes through cli.main: two
 d = 2, N = 64 `gauss` grids with their sidecars, `star --oracle` on them,
 `orbit -n 10` and `sweep`.  A change that moves an output on purpose
@@ -26,6 +27,7 @@ from moyalorbit.suites import RunConfig, run_suite
 
 DATA = Path(__file__).resolve().parent / "data"
 SEEDS = (0, 11, 4001)
+PLANE_GOLDEN = DATA / "verify_all_dim2_seed0.json"
 COMMAND_DIGESTS = DATA / "command_sha256.json"
 PLANE_CONFIG = {"dim": 2, "grid": {"theta": 0.5}}
 # each command's arguments after --config; {dir} is the output directory
@@ -38,8 +40,8 @@ COMMANDS = (
 )
 
 
-def report_text(seed: int) -> str:
-    return gridio.json_text(run_suite("all", RunConfig(seed=seed)))
+def report_text(seed: int, dim: int = 4) -> str:
+    return gridio.json_text(run_suite("all", RunConfig(dim=dim, seed=seed)))
 
 
 def golden_path(seed: int) -> Path:
@@ -70,6 +72,10 @@ def test_verify_all_report_matches_the_recorded_bytes(seed):
     assert report_text(seed) == golden_path(seed).read_text()
 
 
+def test_plane_verify_all_report_matches_the_recorded_bytes():
+    assert report_text(0, dim=2) == PLANE_GOLDEN.read_text()
+
+
 def test_command_outputs_match_the_recorded_digests(tmp_path):
     assert command_digests(tmp_path) == json.loads(COMMAND_DIGESTS.read_text())
 
@@ -78,6 +84,8 @@ if __name__ == "__main__":
     for seed in SEEDS:
         golden_path(seed).write_text(report_text(seed))
         print(golden_path(seed))
+    PLANE_GOLDEN.write_text(report_text(0, dim=2))
+    print(PLANE_GOLDEN)
     with tempfile.TemporaryDirectory() as tmp:
         COMMAND_DIGESTS.write_text(gridio.json_text(command_digests(Path(tmp))))
     print(COMMAND_DIGESTS)
