@@ -16,7 +16,6 @@ Phi^alpha equivariant exactly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from moyalorbit.grids import (
     GridSpec,
     forward_array,
     frozen_values,
-    separable_waves,
+    inverse_array,
     shift_batch,
     shift_spectrum,
     spectrum,
@@ -125,41 +124,33 @@ def rho_act(alpha, x, psi: FiberedFunction) -> FiberedFunction:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _phi_tables(alpha: tuple, spec1d: GridSpec, grid: GridSpec) -> tuple:
-    """phi_alpha's read-only wave tables (head^T, last) for covector alpha.
-
-    e(alpha(q) p) = e(p alpha_head.q_head) e(p alpha_d q_d): one table over the
-    leading axes and one over the last, so each fiber is head^T diag(coeffs) last.
-    A stacked pass of one covector reuses them instead of rebuilding both.
-    """
-    p = spec1d.dual_axis()
-    alpha = np.array(alpha)
-    head = separable_waves(np.outer(p, alpha[:-1]), grid.axis()).reshape(len(p), -1)
-    last = separable_waves(np.outer(p, alpha[-1:]), grid.axis())
-    head.setflags(write=False)
-    last.setflags(write=False)
-    return head.T, last
-
-
 def phi_alpha(alpha, psi: FiberedFunction, grid: GridSpec) -> FiberedFunction:
-    """(Phi^alpha psi)(T, q) = psi(T, alpha(q)), by spectral interpolation."""
+    """(Phi^alpha psi)(T, q) = psi(T, alpha(q)) for alpha with entries in {-1, 0, 1}.
+
+    The line and the grid share n and length, so alpha(q) at the node k of
+    the grid is the line's node (alpha.k + (1 - sum alpha) N/2) mod N: each
+    fiber is a gather of the line's band-limited samples.  A non-integer entry
+    puts alpha(q) between line nodes, and an entry of magnitude 2 or more
+    sends psi's band past the grid's, where it aliases: both are refused.
+    """
     spec1d = psi.spec
     if spec1d.dim != 1:
         raise ValueError("psi must be a line function (a one-dimensional grid)")
-    if grid.length != spec1d.length:
-        raise ValueError("grid and line function box lengths must agree")
+    if (spec1d.n, spec1d.length) != (grid.n, grid.length):
+        raise ValueError("grid and line function must have the same n and length")
     alpha = np.asarray(alpha, dtype=float)
     if grid.dim < 2 or alpha.shape != (grid.dim,):
         raise ValueError(f"alpha must be a covector of length grid.dim >= 2, got {alpha.shape}")
-    coeffs = forward_array(psi.values, spec1d) * spec1d.dx  # (n_fibers, N)
+    if not np.all(np.isin(alpha, (-1, 0, 1))):
+        raise ValueError(f"alpha must have entries in {{-1, 0, 1}}, got {alpha.tolist()}")
+    coeffs = forward_array(psi.values, spec1d)
     # the -N/2 mode has no +N/2 partner on the grid, so a negative entry of
     # alpha would send it off the grid and break equivariance: drop it
     coeffs[:, 0] = 0
-    head_t, last = _phi_tables(tuple(alpha.tolist()), spec1d, grid)
-    values = (head_t * coeffs[:, None, :]) @ last * spec1d.dp
-    shape = (len(coeffs),) + (grid.n,) * grid.dim
-    return FiberedFunction(psi.sample, grid, values.reshape(shape))
+    line = inverse_array(coeffs, spec1d)
+    n, a = grid.n, alpha.astype(int)
+    index = np.tensordot(a, np.indices((n,) * grid.dim), axes=1) + (1 - a.sum()) * n // 2
+    return FiberedFunction(psi.sample, grid, np.take(line, index % n, axis=1))
 
 
 def check_phi_equivariance(alpha, x, psi: FiberedFunction, grid: GridSpec) -> float:

@@ -176,6 +176,21 @@ def test_non_finite_sigma0_is_usage_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "dim, command", [(2, ["verify", "--suite", "all"]), (4, ["orbit", "-n", "3"])]
+)
+def test_orbit_forms_that_overflow_print_only_the_error_line(tmp_path, capsys, dim, command):
+    # T sigma0 T^t and its skew part overflow to inf and nan; numpy must not
+    # warn before SkewForm refuses the result
+    sigma0 = 1e308 * np.kron(np.eye(dim // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    cfg = write_cfg(tmp_path, {"dim": dim, "sigma0": sigma0.tolist()})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, *command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: skew form entries must be finite\n"
+    assert not any(out.glob("*"))
+
+
 @pytest.mark.parametrize(
     "dim, scale, code",
     [(2, 300.0, 0), (4, 100.0, 0), (2, 1e3, 1), (2, 1e5, 2), (2, 1e300, 2), (4, 1e300, 2)],

@@ -1,9 +1,12 @@
 """Fibered functions over group samples: actions, equivariance, the pointwise theorem."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moyalorbit import covariance as cov
 from moyalorbit import suites
@@ -13,6 +16,7 @@ from moyalorbit.geometry import (
     make_rotation,
     parity,
     random_lorentz,
+    sample_orbit,
     standard_skew,
     time_reversal,
 )
@@ -32,15 +36,15 @@ def gaussian_fiber(spec, c=(0.0, 0.0), w=(1.2, 1.3)):
     ).sample(spec)
 
 
-def line_gaussian(sample, c=0.0, w=1.0):
+def line_gaussian(sample, spec1d=SPEC1D, c=0.0, w=1.0):
     return cov.FiberedFunction.from_callable(
-        sample, SPEC1D, lambda t, r: np.exp(-np.pi * (r - c) ** 2 / w**2)
+        sample, spec1d, lambda t, r: np.exp(-np.pi * (r - c) ** 2 / w**2)
     )
 
 
-def small_sample(seed=0, size=3):
+def small_sample(seed=0, size=3, spacetime=ST2):
     rng = np.random.default_rng(seed)
-    return tuple(random_lorentz(ST2, rng, max_word=2) for _ in range(size))
+    return tuple(random_lorentz(spacetime, rng, max_word=2) for _ in range(size))
 
 
 def test_fibered_function_rejects_wrong_shape_and_non_finite_values():
@@ -126,9 +130,7 @@ def periodic_gaussian(r, c, w, length=8.0):
     return sum(np.exp(-np.pi * (r - c - j * length) ** 2 / w**2) for j in range(-2, 3))
 
 
-@pytest.mark.parametrize(
-    "alpha", [(1.0, -1.0), (0.5, 0.375)], ids=["integer", "fractional"]
-)
+@pytest.mark.parametrize("alpha", [(1.0, -1.0)], ids=["integer"])
 def test_phi_alpha_matches_closed_form(alpha):
     sample = small_sample(seed=8, size=2)
     centers, w = (0.1, -0.3), 1.1
@@ -160,11 +162,34 @@ def phi_alpha_reference(alpha, psi, grid, full_band=False):
     return np.tensordot(coeffs, waves, axes=(1, 0)) * spec1d.dp
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [(0.5, 0.375), (0.5, -0.375), (2.0, 1.0), (1.0, -2.0), (np.nan, 1.0)],
+    ids=["fractional", "fractional-negative", "entry-2", "entry-minus-2", "nan"],
+)
+def test_phi_alpha_refuses_a_covector_outside_the_torus_model(alpha):
+    # alpha(q) of a grid node is a line node only for integer alpha, and an
+    # entry of magnitude 2 sends psi's band past the grid's, where it aliases
+    psi = line_gaussian(small_sample(size=2))
+    with pytest.raises(ValueError, match=r"entries in \{-1, 0, 1\}"):
+        cov.phi_alpha(np.array(alpha), psi, SPEC)
+
+
+@pytest.mark.parametrize("line", [{"n": 16}, {"length": 6.0}], ids=["n", "length"])
+def test_phi_alpha_refuses_a_line_on_another_grid(line):
+    # a 16-point line on the 64-grid, or a 6-long line in the 8-box: the
+    # grid's nodes are no longer line nodes
+    spec1d = GridSpec(**{"dim": 1, "n": 64, "length": 8.0, **line})
+    psi = cov.FiberedFunction(small_sample(size=2), spec1d, np.ones((2, spec1d.n)))
+    with pytest.raises(ValueError, match="same n and length"):
+        cov.phi_alpha(np.array([1.0, -1.0]), psi, SPEC)
+
+
 @pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (1, 1), (1, -1), (0.5, -0.375)])
+@pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (1, 1), (1, -1)])
 def test_phi_alpha_matches_the_full_wave_table(alpha, n):
-    # the suite's four integer covectors and a fractional one, on random
-    # full-band fibers; the per-axis tables only regroup the same sum
+    # the suite's four covectors on random full-band fibers: the gather reads
+    # the same sum at the grid's nodes
     spec = GridSpec(dim=2, n=n, length=8.0, theta=1.0)
     spec1d = GridSpec(dim=1, n=n, length=8.0, theta=1.0)
     rng = np.random.default_rng(n)
@@ -178,25 +203,71 @@ def test_phi_alpha_matches_the_full_wave_table(alpha, n):
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_phi_alpha_tables_are_built_per_covector_and_grids():
-    # calls interleaved over two covectors, two grid sizes and a 16-point line
-    # on the 64 grid: a table cached under alpha alone, or under alpha and the
-    # 2-D grid, would serve one call the table of another
-    rng = np.random.default_rng(5)
-    sample = small_sample(seed=10, size=2)
-    for _ in range(2):
-        for n_line, n in ((16, 16), (64, 64), (16, 64)):
-            spec = GridSpec(dim=2, n=n, length=8.0, theta=1.0)
-            spec1d = GridSpec(dim=1, n=n_line, length=8.0, theta=1.0)
-            values = rng.standard_normal((2, n_line)) + 1j * rng.standard_normal((2, n_line))
-            psi = cov.FiberedFunction(sample, spec1d, values)
-            for alpha in (np.array([1.0, 1.0]), np.array([1.0, -1.0])):
-                ref = phi_alpha_reference(alpha, psi, spec)
-                out = cov.phi_alpha(alpha, psi, spec).values
-                assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-    tables = cov._phi_tables((1.0, -1.0), spec1d, spec)
-    assert [t.shape for t in tables] == [(64, 16), (16, 64)]
-    assert not any(t.flags.writeable for t in tables)
+def every_covector(dim, nonzero=False):
+    alphas = (np.array(a, dtype=float) for a in itertools.product((-1, 0, 1), repeat=dim))
+    return [a for a in alphas if not nonzero or a.any()]
+
+
+@pytest.mark.parametrize(
+    "dim, n, length",
+    [(2, 8, 6.0), (2, 16, 8.0), (2, 64, 8.0), (2, 64, 16.0), (4, 8, 8.0)],
+)
+def test_phi_alpha_matches_the_full_wave_table_for_every_covector(dim, n, length):
+    spec = GridSpec(dim=dim, n=n, length=length)
+    spec1d = GridSpec(dim=1, n=n, length=length)
+    rng = np.random.default_rng(n + dim)
+    values = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    psi = cov.FiberedFunction(small_sample(seed=10, size=2), spec1d, values)
+    for alpha in every_covector(dim):
+        ref = phi_alpha_reference(alpha, psi, spec)
+        out = cov.phi_alpha(alpha, psi, spec).values
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref)), alpha
+
+
+def full_band_line(sample, spec1d, seed):
+    """Complex noise on every line node, one row per transform of sample."""
+    rng = np.random.default_rng(seed)
+    shape = (len(sample), spec1d.n)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return cov.FiberedFunction(sample, spec1d, values)
+
+
+@pytest.mark.parametrize(
+    "dim, n, length",
+    [(2, n, length) for n in (8, 16, 32, 64) for length in (6.0, 8.0)] + [(4, 8, 8.0)],
+)
+@settings(max_examples=5, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    x=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+)
+def test_phi_alpha_is_equivariant_on_full_band_noise(dim, n, length, seed, x):
+    # every nonzero covector of the torus model, on noise that fills the band
+    # (the -N/2 mode included, which phi_alpha drops)
+    spec = GridSpec(dim=dim, n=n, length=length)
+    sample = small_sample(seed, size=2, spacetime=ST4 if dim == 4 else ST2)
+    psi = full_band_line(sample, GridSpec(dim=1, n=n, length=length), seed)
+    bound = 1e-13 * np.max(np.abs(psi.values))
+    x = np.array(x[:dim])
+    for alpha in every_covector(dim, nonzero=True):
+        assert cov.check_phi_equivariance(alpha, x, psi, spec) <= bound, alpha
+
+
+def test_phi_alpha_past_the_torus_model_fails_equivariance(monkeypatch):
+    # negative control: the dense table at alpha = (2, 1) puts frequencies 2p
+    # past the grid's band, so the shift ramps see aliases; this is why
+    # phi_alpha refuses that alpha
+    spec1d = GridSpec(dim=1, n=16, length=8.0)
+    psi = full_band_line(small_sample(size=2), spec1d, 3)
+    monkeypatch.setattr(
+        cov,
+        "phi_alpha",
+        lambda a, f, grid: cov.FiberedFunction(f.sample, grid, phi_alpha_reference(a, f, grid)),
+    )
+    defect = cov.check_phi_equivariance(
+        np.array([2.0, 1.0]), np.array([0.15, -0.2]), psi, GridSpec(dim=2, n=16, length=8.0)
+    )
+    assert defect > 0.1 * np.max(np.abs(psi.values))
 
 
 @pytest.mark.parametrize(
@@ -259,6 +330,28 @@ def test_pointwise_theorem_negative_control():
         np.array([1.0, 0.0]), psi1, psi2, PLANE, SPEC, alpha2=np.array([0.0, 1.0])
     )
     assert defect > 1e-2
+
+
+@pytest.mark.parametrize("lines", ["gaussian", "noise"])
+def test_pointwise_theorem_at_d4(lines):
+    # on sigma0 and three orbit forms T sigma0 T^t; with one covector on both
+    # sides sigma(alpha p, alpha p') = 0, so the product is the pointwise one,
+    # while e_2 on psi2's side deforms it
+    spec = GridSpec(dim=4, n=8, length=8.0)
+    spec1d = GridSpec(dim=1, n=8, length=8.0)
+    sigma0 = standard_skew(ST4)
+    orbit = sample_orbit(ST4, 3, 7, sigma0)
+    sample = (LorentzTransform(np.eye(4), ST4),) + tuple(t for t, _ in orbit)
+    if lines == "gaussian":
+        psi1 = line_gaussian(sample, spec1d, c=0.1, w=1.3)
+        psi2 = line_gaussian(sample, spec1d, c=-0.2, w=1.0)
+    else:
+        psi1, psi2 = (full_band_line(sample, spec1d, seed) for seed in (17, 18))
+    e2 = np.array([0.0, 1.0, 0.0, 0.0])
+    for alpha in ((1, 0, 0, 0), (1, -1, 1, 0), (1, 1, 1, 1)):
+        alpha = np.array(alpha, dtype=float)
+        assert cov.check_pointwise_theorem(alpha, psi1, psi2, sigma0, spec) <= 1e-12
+        assert cov.check_pointwise_theorem(alpha, psi1, psi2, sigma0, spec, alpha2=e2) > 0.1
 
 
 def test_gamma_act_raises_when_a_draw_lacks_t_s_inverse():

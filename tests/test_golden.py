@@ -11,10 +11,15 @@ regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in CHANGES.md which values moved and why.
+which prints each moved line of a verify report (old -> new) and each
+command output whose digest changed before writing, and says in CHANGES.md
+which values moved and why.
 """
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -80,12 +85,44 @@ def test_command_outputs_match_the_recorded_digests(tmp_path):
     assert command_digests(tmp_path) == json.loads(COMMAND_DIGESTS.read_text())
 
 
+def test_regenerating_names_each_moved_line(tmp_path):
+    golden = tmp_path / "golden.json"
+    golden.write_text('{\n "value": 1.0,\n "pass": true\n}\n')
+    text = '{\n "value": 0.5,\n "pass": true,\n "tol": 1\n}\n'
+    assert moved_lines(golden, text) == [
+        '  2: "value": 1.0, -> "value": 0.5,',
+        '  3: "pass": true -> "pass": true,',
+        '  4: } -> "tol": 1',
+        "  5:  -> }",
+    ]
+    assert moved_lines(tmp_path / "new.json", "{}\n") == ["  1:  -> {}"]
+
+
+def moved_lines(path: Path, text: str) -> list:
+    """'line: old -> new' for each line of text that differs from the file at path."""
+    old = path.read_text().splitlines() if path.exists() else []
+    pairs = enumerate(itertools.zip_longest(old, text.splitlines(), fillvalue=""), start=1)
+    return [f"  {i}: {a.strip()} -> {b.strip()}" for i, (a, b) in pairs if a != b]
+
+
+def regenerate(path: Path, text: str) -> None:
+    """Print what moves in path, then write text to it."""
+    print(path)
+    for line in moved_lines(path, text):
+        print(line)
+    path.write_text(text)
+
+
 if __name__ == "__main__":
     for seed in SEEDS:
-        golden_path(seed).write_text(report_text(seed))
-        print(golden_path(seed))
-    PLANE_GOLDEN.write_text(report_text(0, dim=2))
-    print(PLANE_GOLDEN)
-    with tempfile.TemporaryDirectory() as tmp:
-        COMMAND_DIGESTS.write_text(gridio.json_text(command_digests(Path(tmp))))
+        regenerate(golden_path(seed), report_text(seed))
+    regenerate(PLANE_GOLDEN, report_text(0, dim=2))
+    # the commands print the paths they write; only the moves are wanted here
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        digests = command_digests(Path(tmp))
+    recorded = json.loads(COMMAND_DIGESTS.read_text()) if COMMAND_DIGESTS.exists() else {}
     print(COMMAND_DIGESTS)
+    for name in sorted(set(digests) | set(recorded)):
+        if digests.get(name) != recorded.get(name):
+            print(f"  {name}: {recorded.get(name)} -> {digests.get(name)}")
+    COMMAND_DIGESTS.write_text(gridio.json_text(digests))
