@@ -186,10 +186,10 @@ def test_phi_alpha_refuses_a_line_on_another_grid(line):
 
 
 @pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (1, 1), (1, -1)])
+@pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (1, 1), (1, -1), (-1, -1)])
 def test_phi_alpha_matches_the_full_wave_table(alpha, n):
-    # the suite's four covectors on random full-band fibers: the gather reads
-    # the same sum at the grid's nodes
+    # the suite's four covectors and an all-negative one on random full-band
+    # fibers: the gather reads the same sum at the grid's nodes
     spec = GridSpec(dim=2, n=n, length=8.0, theta=1.0)
     spec1d = GridSpec(dim=1, n=n, length=8.0, theta=1.0)
     rng = np.random.default_rng(n)
