@@ -202,19 +202,25 @@ def tune_allocator() -> None:
 
 def main(argv=None) -> int:
     """Load the config, apply --seed and run the command; every usage, format
-    or I/O error (ValueError, KeyError, OSError) is one ``error:`` line, exit 2."""
+    or I/O error (ValueError, OSError) is one ``error:`` line, exit 2.  Any
+    other exception is a bug and propagates with its traceback."""
     tune_allocator()
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig()
-        if args.config is not None:
-            cfg = RunConfig.from_dict(gridio.read_json(args.config))
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        # looked up by name when called, so a wrapper installed on the module (as
-        # perfbench/tracer.py installs one) is the one run
-        return globals()[COMMANDS[args.command].__name__](args, cfg)
-    except (ValueError, KeyError, OSError) as exc:
+        # numpy's floating-point warnings are off: every non-finite value is
+        # refused by the check that meets it (GridFunction, SkewForm, the
+        # sweep's D checks), and a NaN check value fails its check, so a warning
+        # would only add lines to stderr ahead of the one error: line
+        with np.errstate(all="ignore"):
+            cfg = RunConfig()
+            if args.config is not None:
+                cfg = RunConfig.from_dict(gridio.read_json(args.config))
+            if args.seed is not None:
+                cfg = replace(cfg, seed=args.seed)
+            # looked up by name when called, so a wrapper installed on the module
+            # (as perfbench/tracer.py installs one) is the one run
+            return globals()[COMMANDS[args.command].__name__](args, cfg)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -131,8 +131,7 @@ class SkewForm:
 def skewize(m: np.ndarray) -> SkewForm:
     """Build a SkewForm from a nearly-skew matrix, symmetrizing the roundoff."""
     m = np.asarray(m, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # SkewForm refuses what overflows
-        return SkewForm((m - m.T) / 2.0)
+    return SkewForm((m - m.T) / 2.0)
 
 
 def standard_skew(st: Spacetime) -> SkewForm:
@@ -153,8 +152,7 @@ def act_on_form(t: LorentzTransform, sigma: SkewForm) -> SkewForm:
     """The orbit map sigma -> T sigma T^t."""
     if t.dim != sigma.dim:
         raise DimensionError("dimension mismatch")
-    with np.errstate(over="ignore", invalid="ignore"):  # skewize refuses what overflows
-        return skewize(t.matrix @ sigma.matrix @ t.matrix.T)
+    return skewize(t.matrix @ sigma.matrix @ t.matrix.T)
 
 
 def _time_axis(st: Spacetime) -> int:

@@ -45,8 +45,12 @@ class GaussianFactor:
     def __post_init__(self):
         if not (np.isfinite(self.center) and np.isfinite(self.freq)):
             raise ValueError(f"center and freq must be finite, got {self.center}, {self.freq}")
-        if not 0 < self.width < np.inf:  # also false for NaN
-            raise ValueError(f"width must be positive and finite, got {self.width}")
+        # also false for NaN; __call__ and hat divide and multiply by width**2,
+        # and float * overflows to inf where ** raises OverflowError
+        if not (0 < self.width < np.inf and 0 < self.width * self.width < np.inf):
+            raise ValueError(
+                f"width must be positive and finite, and so must its square, got {self.width}"
+            )
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

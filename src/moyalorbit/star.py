@@ -62,6 +62,13 @@ from moyalorbit.grids import (
 # reduction order is bit-stable, and cache-sized (0.5 MB per buffer).
 _BATCH_ENTRIES = 2**15
 
+# Largest lattice phase k.(theta sigma p) the kernel takes, in cycles.  The
+# roundoff of e(phi) is about 2^-53 |phi| cycles, which passes the oracle's
+# 1e-6 cycles near 1e10: past the cut the product is noise, so the input is
+# refused.  This is representability, not resolution: a grid can be far
+# below the cut and still not resolve the product.
+PHASE_CUT = 1e10
+
 
 def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunction:
     """Deformed product of two grid functions at deformation theta * sigma."""
@@ -71,6 +78,13 @@ def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunct
         raise ValueError("skew form dimension mismatch")
     if spec.dim < 2:
         raise ValueError("star product needs dim >= 2; on a line sigma is zero")
+    p_max = spec.n / (2 * spec.length)  # |k_j|, |p_j| <= N/2L on the dual lattice
+    bound = spec.theta * float(np.abs(m).sum()) * p_max * p_max  # float *: inf, not a raise
+    if not bound <= PHASE_CUT:  # NaN included
+        raise ValueError(
+            f"the product's phases reach theta sum|sigma_jk| (N/2L)^2 = {bound:.3g} cycles, "
+            f"past the cut {PHASE_CUT:g} where the roundoff of e(phase) passes 1e-6 cycles"
+        )
     n, d = spec.n, spec.dim
     plane = GridSpec(dim=d - 1, n=n, length=spec.length)  # the E axes
     p = spec.dual_axis()
@@ -181,12 +195,10 @@ def semiclassical_defects(
     gt = GridFunction(spec, g.values)
     fg = star_product(ft, gt, sigma)
     gf = star_product(gt, ft, sigma)
-    # a tiny theta overflows a norm to inf, quietly: semiclassical_sweep rejects it
-    with np.errstate(over="ignore"):
-        d1 = (fg - ft * gt).norm2()
-        bracket = poisson_bracket(ft, gt, sigma)
-        resid = (1.0 / theta) * (fg - gf) + (1.0 / (np.pi * 1j)) * bracket
-        d2 = resid.norm2()
+    d1 = (fg - ft * gt).norm2()
+    bracket = poisson_bracket(ft, gt, sigma)
+    resid = (1.0 / theta) * (fg - gf) + (1.0 / (np.pi * 1j)) * bracket
+    d2 = resid.norm2()
     return d1, d2
 
 

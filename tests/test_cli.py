@@ -125,7 +125,7 @@ def test_gauss_star_oracle_pipeline_d4(tmp_path):
     assert summary["oracle_defect"] == expected
 
 
-@pytest.mark.parametrize("factor", ["0.1,-1.2,0", "0.1,0,0"])
+@pytest.mark.parametrize("factor", ["0.1,-1.2,0", "0.1,0,0", "0.1,1e-300,0", "0.1,1e200,0"])
 def test_gauss_rejects_non_positive_width(tmp_path, capsys, factor):
     cfg = write_cfg(tmp_path, PLANE_CFG)
     out = tmp_path / "f.moya"
@@ -320,8 +320,13 @@ def test_config_input_errors_name_the_key_or_file(tmp_path, capsys, text, named)
         lambda text: json.dumps({**json.loads(text), "sigma": [[0.0, 1.0], [1.0, 0.0]]}),
         lambda text: json.dumps({**json.loads(text), "thetta": 0.5}),
         lambda text: text[:-3],
+        lambda text: json.dumps({**json.loads(text), "gaussian": [[0, 1e-300, 0], [0, 1, 0]]}),
+        lambda text: json.dumps({**json.loads(text), "gaussian": [[0, 1e200, 0], [0, 1, 0]]}),
     ],
-    ids=["theta-beyond-float", "sigma-not-skew", "unknown-key", "not-json"],
+    ids=[
+        "theta-beyond-float", "sigma-not-skew", "unknown-key", "not-json",
+        "width-squared-underflows", "width-squared-overflows",
+    ],
 )
 def test_sidecar_input_errors_name_the_sidecar(tmp_path, capsys, edit):
     cfg = write_cfg(tmp_path, PLANE_CFG)
@@ -536,15 +541,56 @@ def test_sweep_overflow_prints_only_the_error_line(tmp_path, capsys):
 )
 def test_zero_defects_are_usage_errors(tmp_path, capsys, command):
     # on a box of length 1e-30 both Gaussians are constant, so D1 = D2 = 0
-    # exactly: log 0 gives no slope, and an input outside the model is not a
-    # failed check
+    # would leave no slope; the box's band puts the kernel's phases past
+    # star.PHASE_CUT first, and an input outside the model is not a failed
+    # check (test_star.py::test_sweep_refuses_zero_defects keeps the D = 0 refusal)
     cfg = write_cfg(tmp_path, {"grid": {"length": 1e-30}})
     rc = main(["--config", cfg, *command, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "error: D1 = 0.0, D2 = 0.0 at theta = 1.0: a log-log slope needs positive defects\n"
+        "error: the product's phases reach theta sum|sigma_jk| (N/2L)^2 = 2.05e+63 cycles, "
+        "past the cut 1e+10 where the roundoff of e(phase) passes 1e-6 cycles\n"
     )
     assert not any((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_numeric_failures_print_at_most_the_error_line(tmp_path, capsys):
+    # main runs every command with numpy's warnings off; each non-finite value
+    # is refused by the check that meets it, with one error: line and exit 2
+    plane = write_cfg(tmp_path, {"dim": 2})
+    far = write_cfg(tmp_path, {"dim": 2, "grid": {"theta": 1e300}}, "far.json")
+    a, d = tmp_path / "a.moya", tmp_path / "d.moya"
+    runs = [
+        (["--config", plane, "gauss", "--factor", "0,1e-300,0", "--factor", "0,1,0",
+          "--out", str(tmp_path / "x.moya")], 2),
+        (["--config", plane, "gauss", "--factor", "1e300,1,0", "--factor", "0,1,0",
+          "--out", str(d)], 0),
+        (["--config", far, "gauss", "--factor", "0,1,0", "--factor", "0,1,0",
+          "--out", str(a)], 0),
+        (["--config", far, "star", str(a), str(a), "--oracle", "--out", str(tmp_path)], 2),
+        (["--config", plane, "star", str(d), str(d), "--oracle", "--out", str(tmp_path)], 2),
+        (["--config", plane, "sweep", "--theta", "1e300,1", "--out", str(tmp_path)], 2),
+    ]
+    for argv, code in runs:
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_a_key_error_is_a_bug_not_a_usage_error(tmp_path, monkeypatch):
+    # the library raises KeyError only for broken internal invariants, so main
+    # lets it out with its traceback rather than exiting 2
+    def broken(cfg):
+        raise KeyError("internal invariant")
+
+    monkeypatch.setattr(suites, "suite_weyl", broken)
+    with pytest.raises(KeyError, match="internal invariant"):
+        main(["verify", "--suite", "weyl", "--out", str(tmp_path)])
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):
@@ -780,6 +826,32 @@ def test_only_gridio_parses_json():
     package = Path(cli.__file__).parent
     callers = sorted(p.name for p in package.glob("*.py") if parses_json(p.read_text()))
     assert callers == ["gridio.py"]
+
+
+def _numpy_error_state_calls(source: str) -> list:
+    """Lines of each errstate, seterr or seterrcall call, however numpy is named."""
+    names = {"errstate", "seterr", "seterrcall"}
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr in names)
+            or (isinstance(node.func, ast.Name) and node.func.id in names)
+        )
+    ]
+
+
+def test_only_cli_sets_numpy_error_state():
+    # one floating-point policy, set by cli.main for every command: a library
+    # module that silences numpy at its own call site hides it from callers
+    package = Path(cli.__file__).parent
+    setters = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _numpy_error_state_calls(path.read_text()))
+    }
+    assert list(setters) == ["cli.py"] and len(setters["cli.py"]) == 1
 
 
 def test_only_cli_imports_ctypes():

@@ -109,7 +109,7 @@ def test_unsupported_version_raises(tmp_path):
 NUMBERS = st.integers(min_value=-(10**400), max_value=10**400) | st.floats()
 LEAVES = st.none() | st.booleans() | st.text("aehinst", max_size=3) | NUMBERS
 MATRICES = st.lists(st.lists(NUMBERS, max_size=4), max_size=4)
-USAGE_ERRORS = (ValueError, KeyError, OSError)  # what cli.main maps to exit 2
+USAGE_ERRORS = (ValueError, OSError)  # what cli.main maps to exit 2
 
 
 def json_like(keys):

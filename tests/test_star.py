@@ -36,6 +36,7 @@ from moyalorbit.oracle import (
     star_oracle_point,
 )
 from moyalorbit.star import (
+    PHASE_CUT,
     commutator_constant,
     inner_product_B,
     interior_mask,
@@ -136,6 +137,8 @@ def spec64(theta=1.0):
         (0.1, np.inf, 0.0),
         (np.nan, 1.2, 0.0),
         (0.1, 1.2, -np.inf),
+        (0.1, 1e-300, 0.0),  # width**2 underflows to 0
+        (0.1, 1e200, 0.0),  # width**2 overflows
     ],
 )
 def test_gaussian_factor_rejects_bad_parameters(center, width, freq):
@@ -358,6 +361,25 @@ def test_sweep_rejects_bad_theta_lists():
     for thetas in ([1.0], []):  # one theta leaves no slope to fit
         with pytest.raises(ValueError, match="at least 2"):
             semiclassical_sweep(f, g, PLANE, thetas)
+
+
+def test_sweep_refuses_zero_defects():
+    # g = 0 makes f *_th g, g *_th f and {f, g} zero, so D1 = D2 = 0 and log 0 has no slope
+    spec = spec64()
+    f = F_GAUSS.sample(spec)
+    g = GridFunction(spec, np.zeros((spec.n,) * spec.dim, dtype=complex))
+    with pytest.raises(ValueError, match="a log-log slope needs positive defects"):
+        semiclassical_sweep(f, g, PLANE, [1.0, 0.5])
+
+
+def test_star_product_refuses_phases_past_the_cut():
+    # on n = 8, L = 8 the dual nodes reach N/2L = 0.5: the bound is theta sum|J| / 4 = theta / 2
+    spec = GridSpec(dim=2, n=8, length=8.0, theta=2 * PHASE_CUT)
+    f = F_GAUSS.sample(spec)
+    star_product(f, f, PLANE)  # exactly at the cut
+    over = GridFunction(spec.with_theta(np.nextafter(spec.theta, np.inf)), f.values)
+    with pytest.raises(ValueError, match="past the cut"):
+        star_product(over, over, PLANE)
 
 
 def test_interior_mask_and_relative_l2():
