@@ -160,19 +160,16 @@ def check_phi_equivariance(alpha, x, psi: FiberedFunction, grid: GridSpec) -> fl
     return lhs.max_abs_diff(rhs)
 
 
-def check_gamma_covariance(
-    s: LorentzTransform, x, f: FiberedFunction, draw_size: int | None = None
-) -> float:
+def check_gamma_covariance(s: LorentzTransform, x, f: FiberedFunction, draw_size: int) -> float:
     """Max-entry defect of tau_x gamma_S = gamma_S tau_Sx.
 
     x as in tau_act; the fibers are draws of draw_size transforms as in
-    gamma_act (default: one draw of the whole sample).  Both sides shift the
-    permuted spectrum of f, since the transform of f[order] is the transform
-    of f, permuted: fiber i of the left side is f[order[i]] moved by T_i x_i,
-    and of the right side f[order[i]] moved by T_j S x_j with j = order[i].
+    gamma_act.  Both sides shift the permuted spectrum of f, since the
+    transform of f[order] is the transform of f, permuted: fiber i of the left
+    side is f[order[i]] moved by T_i x_i, and of the right side f[order[i]]
+    moved by T_j S x_j with j = order[i].
     """
     xs = _points(x, f)
-    draw_size = len(f.sample) if draw_size is None else draw_size
     order = _right_translation_order(s, f.sample, draw_size)
     values_hat = spectrum(f.values, f.spec)[order]
     lhs_shifts = np.stack([t.matrix @ xi for t, xi in zip(f.sample, xs)])

@@ -19,10 +19,7 @@ MIN_SINGULAR_RATIO = 1e-12  # smallest / largest singular value of an invertible
 STABILIZER_TOL = 1e-9  # max-entry tolerance of in_stabilizer
 PROJECTION_SWEEPS = 3  # Newton sweeps of to_group
 MAX_WORD = 8  # default longest word of random_lorentz and sample_orbit
-
-
-class DimensionError(ValueError):
-    """Raised when a dimension or axis index is invalid."""
+MAX_ORBIT_DRAWS = 10_000  # largest n of sample_orbit, which holds every draw in memory
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -40,9 +37,9 @@ class Spacetime:
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2 != 0:
-            raise DimensionError(f"dim must be even and >= 2, got {self.dim}")
+            raise ValueError(f"dim must be even and >= 2, got {self.dim}")
         if len(self.metric) != self.dim:
-            raise DimensionError("metric length must equal dim")
+            raise ValueError("metric length must equal dim")
         if any(m not in (1, -1) for m in self.metric):
             raise ValueError("metric entries must be +1 or -1")
 
@@ -63,7 +60,7 @@ class LorentzTransform:
         object.__setattr__(self, "matrix", m)
         d = self.spacetime.dim
         if m.shape != (d, d):
-            raise DimensionError(f"matrix must be {d}x{d}")
+            raise ValueError(f"matrix must be {d}x{d}")
         eta = self.spacetime.eta
         defect = np.max(np.abs(m.T @ eta @ m - eta))
         if not defect <= LORENTZ_TOL:  # also true for NaN
@@ -99,7 +96,7 @@ class SkewForm:
     def __post_init__(self):
         m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("skew form must be square")
+            raise ValueError("skew form must be square")
         if not np.all(np.isfinite(m)):
             raise ValueError("skew form entries must be finite")
         if not np.array_equal(m.T, -m):
@@ -116,13 +113,6 @@ class SkewForm:
         s = np.linalg.svd(self.matrix, compute_uv=False)  # in decreasing order
         if not s[-1] > MIN_SINGULAR_RATIO * s[0]:  # also true for the zero form
             raise ValueError("skew form is not invertible")
-
-    @classmethod
-    def zero(cls, dim: int) -> "SkewForm":
-        return cls(np.zeros((dim, dim)))
-
-    def scaled(self, c: float) -> "SkewForm":
-        return SkewForm(c * self.matrix)
 
     def to_json(self) -> list:
         return self.matrix.tolist()
@@ -151,7 +141,7 @@ def standard_skew(st: Spacetime) -> SkewForm:
 def act_on_form(t: LorentzTransform, sigma: SkewForm) -> SkewForm:
     """The orbit map sigma -> T sigma T^t."""
     if t.dim != sigma.dim:
-        raise DimensionError("dimension mismatch")
+        raise ValueError("dimension mismatch")
     return skewize(t.matrix @ sigma.matrix @ t.matrix.T)
 
 
@@ -165,7 +155,7 @@ def _time_axis(st: Spacetime) -> int:
 def _boost_matrix(st: Spacetime, axis: int, rapidity: float) -> np.ndarray:
     d = st.dim
     if not 0 <= axis < d:
-        raise DimensionError(f"axis {axis} out of range for dim {d}")
+        raise ValueError(f"axis {axis} out of range for dim {d}")
     t = _time_axis(st)
     if st.metric[axis] != -1:
         raise ValueError("boost axis must carry metric -1")
@@ -182,7 +172,7 @@ def _rotation_matrix(st: Spacetime, plane: tuple, angle: float) -> np.ndarray:
     i, j = plane
     d = st.dim
     if not (0 <= i < d and 0 <= j < d) or i == j:
-        raise DimensionError(f"invalid plane {plane} for dim {d}")
+        raise ValueError(f"invalid plane {plane} for dim {d}")
     if st.metric[i] != st.metric[j]:
         raise ValueError("rotation plane must have equal metric signs")
     m = np.eye(d)
@@ -265,14 +255,10 @@ def random_lorentz(
     return to_group(st, [draw_word(st, rng, max_word)])[0]
 
 
-def sample_orbit(
-    st: Spacetime, n: int, seed: int, sigma0: SkewForm | None = None
-) -> list:
+def sample_orbit(st: Spacetime, n: int, seed: int, sigma0: SkewForm) -> list:
     """n seeded pairs (T, T sigma0 T^t); deterministic for a fixed seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma0 is None:
-        sigma0 = standard_skew(st)
+    if not 1 <= n <= MAX_ORBIT_DRAWS:
+        raise ValueError(f"n must be in [1, {MAX_ORBIT_DRAWS}], got {n}")
     rng = np.random.default_rng(seed)
     transforms = to_group(st, [draw_word(st, rng, MAX_WORD) for _ in range(n)])
     return [(t, act_on_form(t, sigma0)) for t in transforms]
@@ -283,7 +269,7 @@ def q_form(sigma: SkewForm, alpha: np.ndarray, beta: np.ndarray) -> float:
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if alpha.shape != (sigma.dim,) or beta.shape != (sigma.dim,):
-        raise DimensionError("covector dimension mismatch")
+        raise ValueError("covector dimension mismatch")
     return float(beta @ (sigma.matrix @ alpha))
 
 

@@ -94,11 +94,6 @@ class GridFunction:
         self.values = frozen_values(values, (spec.n,) * spec.dim)
         self.spec = spec
 
-    @classmethod
-    def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
-        mesh = spec.mesh()
-        return cls(spec, np.asarray(fn(*mesh), dtype=complex))
-
     def norm2(self) -> float:
         """Grid L2 norm with weight dx^d."""
         return float(

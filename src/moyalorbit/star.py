@@ -149,12 +149,6 @@ def star_commutator(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFu
     return star_product(f, g, sigma) - star_product(g, f, sigma)
 
 
-def inner_product_B(xi: GridFunction, eta: GridFunction) -> complex:
-    """Riemann-sum inner product int conj(xi) eta with weight dx^d."""
-    xi.check_spec(eta)
-    return complex(np.sum(np.conj(xi.values) * eta.values) * xi.spec.dx**xi.spec.dim)
-
-
 def poisson_bracket(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunction:
     """{f, g}_sigma = sum_jk sigma_jk (d_j f)(d_k g), spectral derivatives."""
     f.check_spec(g)

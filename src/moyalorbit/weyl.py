@@ -84,11 +84,6 @@ def unit_u(alpha, sigma: SkewForm) -> WeylElement:
     return WeylElement({key: 1.0 + 0.0j}, sigma)
 
 
-def unit(sigma: SkewForm) -> WeylElement:
-    """The multiplicative unit u_0."""
-    return unit_u(np.zeros(sigma.dim), sigma)
-
-
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Bilinear extension of u_alpha u_beta = e(Q_ab) u_{alpha+beta}."""
     a._check_context(b)

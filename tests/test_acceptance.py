@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from moyalorbit.geometry import (
+    SkewForm,
     Spacetime,
     act_on_form,
     in_stabilizer,
@@ -96,9 +97,7 @@ def test_criterion_3_oracle_agreement():
         worst = max(worst, oracle_defect(result, f, g, PLANE))
     f = random_gaussian(rng, 2).sample(spec)
     g = random_gaussian(rng, 2).sample(spec)
-    from moyalorbit.geometry import SkewForm
-
-    zero_defect = relative_l2(star_product(f, g, SkewForm.zero(2)), f * g)
+    zero_defect = relative_l2(star_product(f, g, SkewForm(np.zeros((2, 2)))), f * g)
     ok = worst < 1e-6 and zero_defect < 1e-10
     report_line("oracle agreement (20 pairs)", worst, 1e-6, ok)
     assert worst < 1e-6
@@ -122,7 +121,7 @@ def test_criterion_4_commutator_constant():
     for _ in range(10):
         al = rng.uniform(-1, 1, 2)
         be = rng.uniform(-1, 1, 2)
-        sigma = PLANE if rng.integers(2) else PLANE.scaled(-1.0)
+        sigma = PLANE if rng.integers(2) else SkewForm(-PLANE.matrix)
         f = GridFunction(spec, (al[0] * x[0] + al[1] * x[1]) * w)
         g = GridFunction(spec, (be[0] * x[0] + be[1] * x[1]) * w)
         comm = star_commutator(f, g, sigma)

@@ -17,6 +17,7 @@ import pytest
 
 from moyalorbit import cli, suites
 from moyalorbit.cli import main
+from moyalorbit.geometry import MAX_ORBIT_DRAWS
 from moyalorbit.gridio import read_grid
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian, oracle_defect
@@ -1009,6 +1010,16 @@ def test_a_metric_of_one_sign_samples_the_orbit(tmp_path, metric):
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "orbit", "-n", "20", "--out", out]) == 0
     assert main(["--config", cfg, "verify", "--suite", "weyl", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("n", [0, MAX_ORBIT_DRAWS + 1])
+def test_orbit_refuses_n_outside_the_cap_before_drawing(tmp_path, capsys, n):
+    # sample_orbit holds every draw in memory, so an unbounded n ran until killed
+    out = tmp_path / "out"
+    assert main(["orbit", "-n", str(n), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: n must be in [1, {MAX_ORBIT_DRAWS}], got {n}\n"
+    assert not (out / "orbit.json").exists()
 
 
 def test_grid_n_beyond_the_header_u16_is_refused_at_load(tmp_path, capsys):

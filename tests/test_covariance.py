@@ -111,7 +111,7 @@ def test_gamma_covariance_identity():
         ]
         f = cov.FiberedFunction(sample, SPEC, np.stack(fibers))
         x = np.array([0.2, -0.3])
-        assert cov.check_gamma_covariance(s, x, f) < 1e-9
+        assert cov.check_gamma_covariance(s, x, f, 2) < 1e-9
 
 
 def test_phi_alpha_equivariance():
@@ -393,7 +393,7 @@ def per_draw_equivariance(cfg):
         fibers = [random_gaussian(rng, 2).sample(spec).values for _ in range(2)]
         f = cov.FiberedFunction((t, t.compose(s)), spec, np.stack(fibers))
         x = rng.uniform(-0.3, 0.3, 2)
-        worst_gamma = max(worst_gamma, cov.check_gamma_covariance(s, x, f))
+        worst_gamma = max(worst_gamma, cov.check_gamma_covariance(s, x, f, 2))
     return worst_phi, worst_gamma
 
 
@@ -431,7 +431,7 @@ def test_stacked_gamma_draws_sharing_a_transform_read_as_per_draw_checks(s):
         cov.gamma_act(s, stacked, 2).values,
         np.concatenate([cov.gamma_act(s, f, 2).values for f in draws]),
     )
-    per_draw = max(cov.check_gamma_covariance(s, x, f) for x, f in zip(xs, draws))
+    per_draw = max(cov.check_gamma_covariance(s, x, f, 2) for x, f in zip(xs, draws))
     assert cov.check_gamma_covariance(s, x_per_fiber, stacked, 2) == per_draw
     # the lookup over the whole stacked sample pairs the second draw with the first
     assert cov.check_gamma_covariance(s, x_per_fiber, stacked, 4) > 1e-3
@@ -474,16 +474,15 @@ def test_gamma_covariance_fails_with_s_in_place_of_its_inverse_at_d4(monkeypatch
     ]
     f = cov.FiberedFunction(tuple(draw), spec, fibers)
     x = rng.uniform(-0.3, 0.3, 4)
-    assert cov.check_gamma_covariance(r, x, f) <= suites.TOLERANCES["gamma_covariance"][1]
+    assert cov.check_gamma_covariance(r, x, f, 4) <= suites.TOLERANCES["gamma_covariance"][1]
     monkeypatch.setattr(LorentzTransform, "inverse", lambda self: self)
-    assert cov.check_gamma_covariance(r, x, f) > 0.1
+    assert cov.check_gamma_covariance(r, x, f, 4) > 0.1
 
 
-def two_pass_gamma_covariance(s, x, f, draw_size=None):
+def two_pass_gamma_covariance(s, x, f, draw_size):
     """tau_x gamma_S F against gamma_S tau_Sx F, each side with its own
     transforms and lookups: the reference of the one-spectrum check."""
     xs = np.broadcast_to(np.asarray(x, dtype=float), (len(f.sample), f.spec.dim))
-    draw_size = len(f.sample) if draw_size is None else draw_size
     lhs = cov.tau_act(xs, cov.gamma_act(s, f, draw_size))
     rhs = cov.gamma_act(s, cov.tau_act(np.stack([s.matrix @ xi for xi in xs]), f), draw_size)
     return lhs.max_abs_diff(rhs)
@@ -495,7 +494,7 @@ def test_one_spectrum_gamma_check_equals_the_two_pass_check(monkeypatch, seed):
     passes = []
     check = cov.check_gamma_covariance
 
-    def recording(s, x, f, draw_size=None):
+    def recording(s, x, f, draw_size):
         value = check(s, x, f, draw_size)
         passes.append((value, two_pass_gamma_covariance(s, x, f, draw_size)))
         return value

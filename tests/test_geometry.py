@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from moyalorbit.geometry import (
-    DimensionError,
     LorentzTransform,
     SkewForm,
     Spacetime,
@@ -34,7 +33,7 @@ def test_spacetime_defaults_and_eta():
 
 
 def test_spacetime_rejects_odd_dimension():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="dim must be even"):
         Spacetime(3, (1, -1, -1))
 
 
@@ -130,7 +129,7 @@ def test_q_form_covariance():
 def test_orbit_invariants_constant_on_orbit():
     sigma = standard_skew(ST4)
     base = orbit_invariants(sigma, ST4)
-    for t, s in sample_orbit(ST4, 30, seed=5):
+    for t, s in sample_orbit(ST4, 30, 5, sigma):
         assert np.max(np.abs(orbit_invariants(s, ST4) - base)) < 1e-8
 
 
@@ -146,12 +145,12 @@ def test_a_metric_of_one_sign_samples_without_boosts(metric):
 
 
 def test_sample_orbit_consistency_and_determinism():
-    pairs = sample_orbit(ST4, 10, seed=3)
     sigma = standard_skew(ST4)
+    pairs = sample_orbit(ST4, 10, 3, sigma)
     for t, s in pairs:
         pushed = act_on_form(t, sigma)
         assert np.max(np.abs(pushed.matrix - s.matrix)) < 1e-12
-    again = sample_orbit(ST4, 10, seed=3)
+    again = sample_orbit(ST4, 10, 3, sigma)
     for (t1, s1), (t2, s2) in zip(pairs, again):
         np.testing.assert_array_equal(t1.matrix, t2.matrix)
         np.testing.assert_array_equal(s1.matrix, s2.matrix)
@@ -178,20 +177,12 @@ def test_stabilizer_closed_under_group_operations():
 def test_plane_orbit_is_sign_pair():
     # In d = 2 the orbit of the standard form is {+sigma0, -sigma0}.
     sigma = standard_skew(ST2)
-    for t, s in sample_orbit(ST2, 40, seed=9):
+    for t, s in sample_orbit(ST2, 40, 9, sigma):
         gap = min(
             np.max(np.abs(s.matrix - sigma.matrix)),
             np.max(np.abs(s.matrix + sigma.matrix)),
         )
         assert gap < 1e-10
-
-
-def test_skew_scaled_and_zero():
-    sigma = standard_skew(ST4)
-    np.testing.assert_allclose(sigma.scaled(2.0).matrix, 2.0 * sigma.matrix)
-    assert not np.any(SkewForm.zero(4).matrix)
-    with pytest.raises(ValueError):
-        SkewForm.zero(4).assert_invertible()
 
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])

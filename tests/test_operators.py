@@ -82,7 +82,7 @@ def test_apply_matches_star_product(theta, s):
     # shift and plane-wave table, and must give the same product
     spec = GridSpec(dim=2, n=16, length=8.0, theta=theta)
     f, g = gaussians(spec)
-    sigma = PLANE.scaled(s)
+    sigma = SkewForm(s * PLANE.matrix)
     op = build_left_regular_matrix(f, sigma)
     direct = star_product(f, g, sigma)
     out = op.matrix @ g.values.reshape(-1)
@@ -140,7 +140,7 @@ def test_dimension_and_size_guards():
     spec4 = GridSpec(dim=4, n=8, length=8.0)
     f4 = GridFunction(spec4, np.zeros((8,) * 4, dtype=complex))
     with pytest.raises(ValueError):
-        build_left_regular_matrix(f4, SkewForm.zero(4))
+        build_left_regular_matrix(f4, SkewForm(np.zeros((4, 4))))
     for n in (64, 128):
         spec_big = GridSpec(dim=2, n=n, length=8.0)
         f_big = GridFunction(spec_big, np.zeros((n, n), dtype=complex))
@@ -195,7 +195,7 @@ def twisted(n, c, length=8.0):
     """Spec and plane form with twist theta s n / L^2 = c (an integer)."""
     s = -1.0 if c < 0 else 1.0
     spec = GridSpec(dim=2, n=n, length=length, theta=abs(c) * length**2 / n)
-    return spec, PLANE.scaled(s)
+    return spec, SkewForm(s * PLANE.matrix)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -286,7 +286,7 @@ gaussian_pair = st.tuples(*[st.tuples(gaussian_factor, gaussian_factor)] * 2)
 def test_apply_matches_star_product_property(theta, s, factors):
     spec = GridSpec(dim=2, n=16, length=8.0, theta=theta)
     f, g = (SeparableGaussian(pair).sample(spec) for pair in factors)
-    sigma = PLANE.scaled(s)
+    sigma = SkewForm(s * PLANE.matrix)
     direct = star_product(f, g, sigma)
     out = build_left_regular_matrix(f, sigma).matrix @ g.values.reshape(-1)
     gap = np.max(np.abs(out.reshape(g.values.shape) - direct.values))

@@ -1,48 +1,50 @@
 """The library surface stays what the commands and the benchmark reach.
 
-Both guards read module sources with ast only.  A top-level function or
+The reach guards read module sources with ast only.  A top-level function or
 class of module m is reached only through m: a bare name inside m itself,
 an import from m, an attribute m.name (m possibly imported under another
 name), or a string naming m and the name, as "m.name" or as the tracer's
 ("m", "name") pair.  A method is reached by its bare name anywhere, as an
 attribute, a name or a dotted string such as the tracer's
-"OperatorMatrix.spectral_norm".
+"OperatorMatrix.spectral_norm".  The README guard imports the package and
+resolves each module.name that README.md names in inline code.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import moyalorbit
 
 PACKAGE = Path(moyalorbit.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
+GRID_SUFFIX = ".moya"  # `star.moya` names the star command's grid file, not an attribute
 
 # Public functions, classes and methods that only tests reach: the helpers
 # behind acceptance criteria 2, 4, 5 and 8 (the validated boost and rotation
-# builders among them: the sampler multiplies raw letters), gamma_act, whose
-# two-pass composition is the reference of the one-spectrum gamma check, and
-# tools the tests build fixtures or references with.  Any other new entry
-# needs a caller in src/ or perfbench/.
+# builders among them: the sampler multiplies raw letters); the references of
+# faster checks (gamma_act, whose two-pass composition checks the one-spectrum
+# gamma check, and GaussianFactor.hat, the closed-form transform); and weyl's
+# algebra operations, which the tests would otherwise copy.  A name that a test
+# can replace with one existing public call does not belong here: delete it.
+# Any other new entry needs a caller in src/ or perfbench/.
 TEST_ONLY = {
     "covariance.FiberedFunction.from_callable",
     "covariance.check_pointwise_theorem",
     "covariance.gamma_act",
-    "geometry.SkewForm.scaled",
-    "geometry.SkewForm.zero",
     "geometry.in_stabilizer",
     "geometry.make_boost",
     "geometry.make_rotation",
-    "grids.GridFunction.from_callable",
     "oracle.GaussianFactor.hat",
     "star.commutator_constant",
-    "star.inner_product_B",
     "star.interior_mask",
     "star.star_commutator",
     "star.weyl_action",
     "weyl.WeylElement.isclose",
     "weyl.WeylElement.scaled",
     "weyl.star",
-    "weyl.unit",
 }
 
 
@@ -235,15 +237,51 @@ def test_only_pinned_names_are_unreached():
 
 
 def test_a_name_is_reached_only_through_its_module():
-    # a bare "unit" elsewhere, or a module named like the function, reaches nothing
-    other = ast.parse('from moyalorbit import star\nreport = {"unit": 1}\nstar.star_product\n')
-    assert ("weyl", "unit") not in _reached(other, "cli")
+    # a bare "unit_u" elsewhere, or a module named like the function, reaches nothing
+    other = ast.parse('from moyalorbit import star\nreport = {"unit_u": 1}\nstar.star_product\n')
+    assert ("weyl", "unit_u") not in _reached(other, "cli")
     assert ("weyl", "star") not in _reached(other, "cli")
     assert ("star", "star_product") in _reached(other, "cli")
     imported = ast.parse(
-        "from moyalorbit.weyl import unit\nimport moyalorbit.weyl\nmoyalorbit.weyl.star\n"
+        "from moyalorbit.weyl import unit_u\nimport moyalorbit.weyl\nmoyalorbit.weyl.star\n"
     )
-    assert {("weyl", "unit"), ("weyl", "star")} <= _reached(imported, None)
-    assert ("weyl", "unit") in _reached(ast.parse("unit(sigma)\n"), "weyl")
+    assert {("weyl", "unit_u"), ("weyl", "star")} <= _reached(imported, None)
+    assert ("weyl", "unit_u") in _reached(ast.parse("unit_u(alpha, sigma)\n"), "weyl")
     traced = ast.parse('SPANS = (("grids", "shift_batch", None),)\nNAME = "covariance.phi_alpha"\n')
     assert {("grids", "shift_batch"), ("covariance", "phi_alpha")} <= _reached(traced, None)
+
+
+def _readme_names(text: str, modules: set) -> list:
+    """Each module.name[.attr] in the inline code of markdown text, module one
+    of modules; fenced blocks and grid file names are skipped."""
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    return [
+        match.group(0)
+        for span in re.findall(r"`([^`]+)`", prose)
+        if not span.endswith(GRID_SUFFIX)
+        for match in re.finditer(r"(?<![\w.])(\w+)\.[\w.]*\w", span)
+        if match.group(1) in modules
+    ]
+
+
+def _resolves(name: str) -> bool:
+    """Whether name is an attribute path of its moyalorbit module."""
+    module, *path = name.split(".")
+    owner = importlib.import_module(f"moyalorbit.{module}")
+    for attr in path:
+        if not hasattr(owner, attr):
+            return False
+        owner = getattr(owner, attr)
+    return True
+
+
+def test_readme_names_resolve():
+    # a rename or a deletion in src/ fails here until README.md follows it
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    names = _readme_names(README.read_text(), modules)
+    assert "grids.shift_batch" in names and "star.moya" not in names
+    assert [name for name in names if not _resolves(name)] == []
+    text = "`grids.shift(f, x)`, `star.moya`, `np.fft`\n```\nweyl.gone\n```\n`geometry.Spacetime.x`"
+    assert _readme_names(text, modules) == ["grids.shift", "geometry.Spacetime.x"]
+    assert _resolves("grids.shift") and _resolves("geometry.SkewForm.to_json")
+    assert not _resolves("geometry.Spacetime.x") and not _resolves("weyl.gone.copy")
