@@ -33,27 +33,23 @@ SIDECAR_KEYS = {  # each sidecar key with its JSON type
 }
 
 
-class FormatError(ValueError):
-    """Raised on a malformed .moya file, a mismatched sidecar or a mistyped JSON value."""
-
-
 def json_value(kind, value, key: str):
     """A JSON value as kind (int, float, dict, [kind] for a list, or a dict of
     kinds for an object with only those keys, each optional); else a
-    FormatError that names key.  A bool is never a number."""
+    ValueError that names key.  A bool is never a number."""
     if isinstance(kind, list):
         return tuple(json_value(kind[0], v, key) for v in json_value(list, value, key))
     if isinstance(kind, dict):
         unknown = set(json_value(dict, value, key)) - set(kind)
         if unknown:
-            raise FormatError(f"unknown {key} keys: {sorted(unknown)}")
+            raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
         return {k: json_value(kind[k], v, f"{key}.{k}") for k, v in value.items()}
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise FormatError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
     try:
         return kind(value)
     except OverflowError:  # an int beyond the float range
-        raise FormatError(f"{key} is an integer beyond the float range") from None
+        raise ValueError(f"{key} is an integer beyond the float range") from None
 
 
 def read_json(path):
@@ -63,7 +59,7 @@ def read_json(path):
     try:
         return json.loads(raw.decode())
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise FormatError(f"{path} is not JSON: {exc}") from None
+        raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -136,35 +132,35 @@ def read_grid(path) -> tuple:
     with io_errors("read"):
         raw = path.read_bytes()
     if len(raw) < 16:
-        raise FormatError(f"{path}: file too short for a .moya header")
+        raise ValueError(f"{path}: file too short for a .moya header")
     magic, version, dim, n, length = struct.unpack(_HEADER, raw[:16])
     if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic; not a .moya file")
+        raise ValueError(f"{path}: bad magic; not a .moya file")
     if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+        raise ValueError(f"{path}: unsupported version {version}")
     sidecar = read_json(side)
     try:
         sidecar = json_value(SIDECAR_KEYS, sidecar, "sidecar")
         missing = {"dim", "n", "length", "theta"} - set(sidecar)
         if missing:
-            raise FormatError(f"missing sidecar keys: {sorted(missing)}")
+            raise ValueError(f"missing sidecar keys: {sorted(missing)}")
         for key, value in (("dim", dim), ("n", n)):
             if sidecar[key] != value:
-                raise FormatError(f"sidecar.{key} {sidecar[key]} disagrees with header {value}")
+                raise ValueError(f"sidecar.{key} {sidecar[key]} disagrees with header {value}")
         sigma = SkewForm(np.asarray(sidecar["sigma"])) if "sigma" in sidecar else None
         gaussian = None
         if "gaussian" in sidecar:
             rows = sidecar["gaussian"]
             if len(rows) != dim or any(len(row) != 3 for row in rows):
-                raise FormatError(f"sidecar.gaussian must hold {dim} c,w,b rows, one per axis")
+                raise ValueError(f"sidecar.gaussian must hold {dim} c,w,b rows, one per axis")
             gaussian = SeparableGaussian(tuple(GaussianFactor(*row) for row in rows))
         spec = GridSpec(dim, n, sidecar["length"], sidecar["theta"])
         # the header holds L as f32; the sidecar holds it exactly
         if np.float32(spec.length) != np.float32(length):
-            raise FormatError(f"sidecar.length {spec.length} disagrees with header {length}")
+            raise ValueError(f"sidecar.length {spec.length} disagrees with header {length}")
     except ValueError as exc:
-        raise FormatError(f"{side}: {exc}") from None
+        raise ValueError(f"{side}: {exc}") from None
     if len(raw) - 16 != 16 * spec.size:
-        raise FormatError(f"{path}: {len(raw) - 16} payload bytes, expected {16 * spec.size}")
+        raise ValueError(f"{path}: {len(raw) - 16} payload bytes, expected {16 * spec.size}")
     values = np.frombuffer(raw[16:], dtype="<c16")  # GridFunction copies it
     return GridFunction(spec, values.reshape((n,) * dim)), sigma, gaussian

@@ -10,7 +10,7 @@ exact in the band-limited periodic model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class GridSpec:
         """All dual lattice points, shape (N^d, dim), fixed row-major order."""
         return self.dual_mesh().reshape(self.dim, -1).T
 
-    def with_theta(self, theta: float) -> "GridSpec":
-        return replace(self, theta=theta)
-
 
 def frozen_values(values, shape: tuple) -> np.ndarray:
     """A read-only complex copy of values, which must have this shape and be finite."""
@@ -123,9 +120,6 @@ class GridFunction:
         return GridFunction(self.spec, self.values * other)
 
     __rmul__ = __mul__
-
-    def conj(self) -> "GridFunction":
-        return GridFunction(self.spec, np.conj(self.values))
 
     def __repr__(self) -> str:
         return f"GridFunction(dim={self.spec.dim}, n={self.spec.n})"

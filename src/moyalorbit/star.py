@@ -42,6 +42,8 @@ once to the folded sum after it, not twice per batch-sized array.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from moyalorbit.geometry import SkewForm, q_form
@@ -134,7 +136,7 @@ def star_product(f: GridFunction, g: GridFunction, sigma: SkewForm) -> GridFunct
 
 def involution(f: GridFunction) -> GridFunction:
     """Pointwise complex conjugation."""
-    return f.conj()
+    return GridFunction(f.spec, np.conj(f.values))
 
 
 def weyl_action(alpha, f: GridFunction, sigma: SkewForm) -> GridFunction:
@@ -184,7 +186,7 @@ def semiclassical_defects(
     D2 = ||(1/th)(f *_th g - g *_th f) + (1/pi i) {f, g}_sigma||_2; the sign
     matches the re-derived first-order commutator term above.
     """
-    spec = f.spec.with_theta(theta)
+    spec = replace(f.spec, theta=theta)
     ft = GridFunction(spec, f.values)
     gt = GridFunction(spec, g.values)
     fg = star_product(ft, gt, sigma)

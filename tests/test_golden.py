@@ -1,19 +1,13 @@
 """Command outputs, byte for byte, against recorded files and digests.
 
-A refactor must keep every output byte-identical.  The files in tests/data
-hold gridio.json_text(run_suite("all", RunConfig(seed=s))) for each seed in
-SEEDS, the bytes `verify --suite all --seed s` writes, the same report for
-the plane config {"dim": 2} at seed 0 (PLANE_GOLDEN), and COMMAND_DIGESTS
-holds the SHA-256 of every file that COMMANDS writes through cli.main: two
-d = 2, N = 64 `gauss` grids with their sidecars, `star --oracle` on them,
-`orbit -n 10` and `sweep`.  A change that moves an output on purpose
-regenerates them with
-
-    PYTHONPATH=src python tests/test_golden.py
-
-which prints each moved line of a verify report (old -> new) and each
-command output whose digest changed before writing, and says in CHANGES.md
-which values moved and why.
+A refactor must keep every output byte-identical.  For each config in
+CONFIGS and suite in SUITES, golden_path holds the file `verify --suite
+<suite>` writes; the `all` report is exactly those reports in SUITES order.
+COMMAND_DIGESTS holds the SHA-256 of every file that COMMANDS writes through
+cli.main.  A change that moves an output on purpose runs `PYTHONPATH=src
+python tests/test_golden.py`, which prints each moved line of a verify
+report (old -> new) and each changed digest before writing, and says in
+CHANGES.md which values moved and why.
 """
 
 import contextlib
@@ -28,11 +22,10 @@ import pytest
 
 from moyalorbit import gridio
 from moyalorbit.cli import main
-from moyalorbit.suites import RunConfig, run_suite
+from moyalorbit.suites import SUITES, TOLERANCES, RunConfig, run_suite
 
 DATA = Path(__file__).resolve().parent / "data"
-SEEDS = (0, 11, 4001)
-PLANE_GOLDEN = DATA / "verify_all_dim2_seed0.json"
+CONFIGS = {f"seed{s}": RunConfig(seed=s) for s in (0, 11, 4001)} | {"dim2_seed0": RunConfig(dim=2)}
 COMMAND_DIGESTS = DATA / "command_sha256.json"
 PLANE_CONFIG = {"dim": 2, "grid": {"theta": 0.5}}
 # each command's arguments after --config; {dir} is the output directory
@@ -45,12 +38,17 @@ COMMANDS = (
 )
 
 
-def report_text(seed: int, dim: int = 4) -> str:
-    return gridio.json_text(run_suite("all", RunConfig(dim=dim, seed=seed)))
+def golden_path(config: str, suite: str) -> Path:
+    return DATA / "verify" / config / f"verify_{suite}.json"  # as `verify --suite` names it
 
 
-def golden_path(seed: int) -> Path:
-    return DATA / f"verify_all_seed{seed}.json"
+def suite_texts(config: str) -> dict:
+    """{suite: report text} from one run_suite("all"), which must hold just those reports."""
+    report = run_suite("all", CONFIGS[config])
+    reports = report["reports"]
+    assert report == {"suite": "all", "reports": reports, "pass": all(r["pass"] for r in reports)}
+    assert [r["suite"] for r in reports] == list(SUITES)
+    return {r["suite"]: gridio.json_text(r) for r in reports}
 
 
 def command_digests(out: Path) -> dict:
@@ -72,13 +70,14 @@ def command_digests(out: Path) -> dict:
     }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_verify_all_report_matches_the_recorded_bytes(seed):
-    assert report_text(seed) == golden_path(seed).read_text()
+@pytest.mark.parametrize("config", CONFIGS)
+def test_each_suite_report_matches_its_recorded_file(config):
+    assert suite_texts(config) == {s: golden_path(config, s).read_text() for s in SUITES}
 
 
-def test_plane_verify_all_report_matches_the_recorded_bytes():
-    assert report_text(0, dim=2) == PLANE_GOLDEN.read_text()
+def test_the_recorded_checks_are_the_tolerance_rows_each_once():
+    reports = [json.loads(golden_path("seed0", suite).read_text()) for suite in SUITES]
+    assert sorted(c["name"] for r in reports for c in r["checks"]) == sorted(TOLERANCES)
 
 
 def test_command_outputs_match_the_recorded_digests(tmp_path):
@@ -110,13 +109,14 @@ def regenerate(path: Path, text: str) -> None:
     print(path)
     for line in moved_lines(path, text):
         print(line)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 
 
 if __name__ == "__main__":
-    for seed in SEEDS:
-        regenerate(golden_path(seed), report_text(seed))
-    regenerate(PLANE_GOLDEN, report_text(0, dim=2))
+    for config in CONFIGS:
+        for suite, text in suite_texts(config).items():
+            regenerate(golden_path(config, suite), text)
     # the commands print the paths they write; only the moves are wanted here
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         digests = command_digests(Path(tmp))

@@ -57,7 +57,7 @@ def test_sidecar_length_must_match_header(tmp_path):
     gridio.write_grid(path, f)
     sidecar = path.with_suffix(".moya.json")
     sidecar.write_text(sidecar.read_text().replace('"length": 8.0', '"length": 8.5'))
-    with pytest.raises(gridio.FormatError):
+    with pytest.raises(ValueError, match="sidecar.length 8.5 disagrees with header 8.0"):
         gridio.read_grid(path)
 
 
@@ -68,14 +68,14 @@ def test_sidecar_shape_must_match_header(tmp_path, edit):
     gridio.write_grid(path, f)
     sidecar = path.with_suffix(".moya.json")
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
-    with pytest.raises(gridio.FormatError, match="disagrees with header"):
+    with pytest.raises(ValueError, match="disagrees with header"):
         gridio.read_grid(path)
 
 
 def test_bad_magic_raises(tmp_path):
     path = tmp_path / "junk.moya"
     path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(gridio.FormatError):
+    with pytest.raises(ValueError, match="bad magic; not a .moya file"):
         gridio.read_grid(path)
 
 
@@ -85,10 +85,10 @@ def test_truncated_file_raises(tmp_path):
     gridio.write_grid(path, f)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(gridio.FormatError):
+    with pytest.raises(ValueError, match="payload bytes, expected"):
         gridio.read_grid(path)
     path.write_bytes(raw[:8])
-    with pytest.raises(gridio.FormatError):
+    with pytest.raises(ValueError, match="file too short for a .moya header"):
         gridio.read_grid(path)
 
 
@@ -99,7 +99,7 @@ def test_unsupported_version_raises(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 99  # version byte
     path.write_bytes(bytes(raw))
-    with pytest.raises(gridio.FormatError):
+    with pytest.raises(ValueError, match="unsupported version 99"):
         gridio.read_grid(path)
 
 

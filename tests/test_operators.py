@@ -1,6 +1,7 @@
 """Finite left-regular operator matrices and representation checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,7 +332,7 @@ class MutatedDenseBuild:
 
     @staticmethod
     def stretched_theta(f, sigma):
-        g = GridFunction(f.spec.with_theta(f.spec.theta * (1 + 1e-6)), f.values)
+        g = GridFunction(replace(f.spec, theta=f.spec.theta * (1 + 1e-6)), f.values)
         return OperatorMatrix(build_left_regular_matrix(g, sigma).matrix, f.spec, sigma)
 
     @staticmethod
@@ -366,7 +367,7 @@ def stretched_theta(monkeypatch):
     product = suites.star_product
 
     def mutated(f, g, sigma):
-        spec = f.spec.with_theta(f.spec.theta * (1 + 1e-6))
+        spec = replace(f.spec, theta=f.spec.theta * (1 + 1e-6))
         out = product(GridFunction(spec, f.values), GridFunction(spec, g.values), sigma)
         return GridFunction(f.spec, out.values)
 
