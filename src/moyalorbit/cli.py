@@ -47,17 +47,16 @@ TRIM_THRESHOLD_BYTES = 1 << 30
 def cmd_orbit(args, cfg: RunConfig) -> int:
     st = cfg.spacetime()
     pairs = sample_orbit(st, args.n, cfg.seed, cfg.base_form())
-    records = []
-    for t, s in pairs:
-        records.append(
-            {
-                "transform": t.to_json(),
-                "form": s.to_json(),
-                "invariants": orbit_invariants(s, st).tolist(),
-            }
-        )
+    records = (  # formatted and written a chunk at a time
+        {
+            "transform": t.to_json(),
+            "form": s.to_json(),
+            "invariants": orbit_invariants(s, st).tolist(),
+        }
+        for t, s in pairs
+    )
     out = Path(args.out) / "orbit.json"
-    gridio.write_json(out, {"seed": cfg.seed, "records": records})
+    gridio.write_json_list(out, {"seed": cfg.seed}, "records", records)
     print(out)
     return 0
 

@@ -13,6 +13,7 @@ typed by json_value.  An OSError while reading or writing is a ValueError
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -27,6 +28,7 @@ MAGIC = b"MOYA"
 VERSION = 1
 _HEADER = "<4sBBHf4x"  # magic, version, dim, N, L, pad
 MAX_DIM = 255  # the header holds dim as a u8
+JSON_CHUNK_ITEMS = 256  # list items that write_json_list formats and holds at once
 SIDECAR_KEYS = {  # each sidecar key with its JSON type
     "dim": int, "n": int, "length": float, "theta": float,
     "sigma": [[float]], "gaussian": [[float]],
@@ -98,6 +100,24 @@ def json_text(data) -> str:
 
 def write_json(path, data) -> None:
     write_text(path, json_text(data))
+
+
+def write_json_list(path, data: dict, key: str, items) -> None:
+    """Write json_text({**data, key: list(items)}) to path, but format and
+    hold only JSON_CHUNK_ITEMS items at a time: a chunk's items are the lines
+    of json_text(chunk) inside its brackets, one level deeper."""
+    opening = f"\n {json.dumps(key)}: ["
+    head, tail = json_text({**data, key: []}).split(opening + "]")
+    path, items = Path(path), iter(items)
+    make_dir(path.parent)
+    with io_errors("write"), path.open("w") as out:
+        out.write(head + opening)
+        separator = "\n"
+        while chunk := list(itertools.islice(items, JSON_CHUNK_ITEMS)):
+            lines = json_text(chunk)[2:-3]  # without "[\n" and "\n]\n"
+            out.write(separator + " " + lines.replace("\n", "\n "))
+            separator = ",\n"
+        out.write(("]" if separator == "\n" else "\n ]") + tail)
 
 
 def grid_sidecar(spec: GridSpec, sigma: SkewForm | None, gaussian: SeparableGaussian | None):

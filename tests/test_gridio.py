@@ -165,3 +165,13 @@ def test_any_json_sidecar_reads_or_is_a_usage_error(tmp_path_factory, data):
         gridio.read_grid(path)
     except USAGE_ERRORS:
         pass
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7])
+def test_json_list_in_chunks_is_the_json_text_of_the_whole(tmp_path, monkeypatch, count):
+    # chunks of 2, so the lists end inside a chunk, on its boundary, or hold none
+    monkeypatch.setattr(gridio, "JSON_CHUNK_ITEMS", 2)
+    items = [{"b": [[i, 0.1 * i], []], "a": {"s": "x\ny", "n": None}} for i in range(count)]
+    data = {"z": 1, "a": [2.5, {"rows": []}]}  # a nested "rows": [] is not the list
+    gridio.write_json_list(tmp_path / "out.json", data, "rows", iter(items))
+    assert (tmp_path / "out.json").read_text() == gridio.json_text({**data, "rows": items})

@@ -49,6 +49,7 @@ from moyalorbit.star import (
     star_product,
     weyl_action,
 )
+from test_mutations import without_ee_block
 
 PLANE = SkewForm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -637,6 +638,22 @@ def test_reflection_covariance_fails_off_closed_twist(name):
     assert reflection_defect(f, g, PLANE, REFLECTIONS[name]) > 1e-2
 
 
+def integer_modes(spec):
+    """The integer modes k (dual node k/L) of the centered lattice, one row per
+    node in row-major order; -N/2 is on the lattice and +N/2 is not."""
+    n = spec.n
+    return np.indices((n,) * spec.dim).reshape(spec.dim, -1).T - n // 2
+
+
+def in_band(f, band):
+    """f with every mode that has some |k_j| >= band zeroed.  band N/2 drops
+    the unpaired -N/2 shell; band N/4 keeps each sum of two modes in band.
+    (ROADMAP item 3 moves the band into grids.)"""
+    spec = f.spec
+    inside = np.all(np.abs(integer_modes(spec)) < band, axis=1).reshape((spec.n,) * spec.dim)
+    return GridFunction(spec, inverse_array(forward_array(f.values, spec) * inside, spec))
+
+
 def closed_twist_defects(spec, sigma, seed, outer=None, band=None):
     """(associativity, involution) defects, relative max-abs, on seeded noise
     f, g, h: (f * g) * h against f * (g * h), and (f * g)* against g* * f*.
@@ -644,11 +661,7 @@ def closed_twist_defects(spec, sigma, seed, outer=None, band=None):
     set, keeps only the noise's modes with |k| < band on every axis."""
     f, g, h = (random_grid(spec, seed + i) for i in range(3))
     if band is not None:
-        k = np.fft.fftfreq(spec.n, 1.0 / spec.n)  # each bin's integer mode, -N/2 included
-        inside = np.all(np.abs(np.meshgrid(*[k] * spec.dim, indexing="ij")) < band, axis=0)
-        f, g, h = (
-            GridFunction(spec, np.fft.ifftn(np.fft.fftn(u.values) * inside)) for u in (f, g, h)
-        )
+        f, g, h = (in_band(u, band) for u in (f, g, h))
     fg = star_product(f, g, sigma)
     left = star_product(fg, h, sigma if outer is None else outer)
     assoc = max_rel(left.values, star_product(f, star_product(g, h, sigma), sigma).values)
@@ -691,6 +704,86 @@ def test_open_twist_product_is_an_algebra_inside_the_band(n, theta, seed):
     assert closed_twist_defects(spec, PLANE, seed, band=n // 2)[1] <= 1e-13
     # negative controls: the full band, where both fail
     assert min(closed_twist_defects(spec, PLANE, seed)) > 0.1
+
+
+def orbit_forms(dim):
+    """sigma_0 and the three forms of sample_orbit(st, 3, 5, sigma_0)."""
+    st = Spacetime() if dim == 4 else PLANE_ST
+    sigma0 = standard_skew(st)
+    return [sigma0] + [sigma for _, sigma in sample_orbit(st, 3, 5, sigma0)]
+
+
+def trace_case(dim, n, form, theta):
+    """The form and three seeded noise grids of a trace case."""
+    spec = GridSpec(dim=dim, n=n, length=8.0, theta=theta)
+    return orbit_forms(dim)[form], [random_grid(spec, seed) for seed in (1, 2, 3)]
+
+
+def sum_defect(lhs, rhs):
+    return abs(lhs - rhs) / abs(rhs)
+
+
+def triple_sum_closed_form(f, g, h, sigma):
+    """N^-2d sum_{k,p} F(k) G(p) H(-k-p) e(-theta k.sigma p), F the unweighted
+    centered transform, over the modes with every |k_j| < N/4: the lattice's
+    sum_q ((f * g) * h)(q) for inputs in that band."""
+    spec = f.spec
+    k = integer_modes(spec)
+    k = k[np.all(np.abs(k) < spec.n // 4, axis=1)]
+
+    def at(modes):  # the centered lattice index of each mode
+        return tuple(np.moveaxis(modes + spec.n // 2, -1, 0))
+
+    big_f, big_g, big_h = (forward_array(u.values, spec) for u in (f, g, h))
+    twist = np.exp(-2j * np.pi * spec.theta * (k @ sigma.matrix @ k.T) / spec.length**2)
+    terms = big_f[at(k)][:, None] * big_g[at(k)][None, :] * big_h[at(-k[:, None] - k)] * twist
+    return terms.sum() / spec.size**2
+
+
+# (dim, n, index into orbit_forms, theta): every d = 2 case, and at d = 4 a few
+# cases per identity, 8 products of about 0.05 s in all
+TRACE_D2 = [(2, n, form, theta) for n in (16, 32) for form in range(4) for theta in (0.37, 1.0)]
+
+
+@pytest.mark.parametrize("dim, n, form, theta", TRACE_D2 + [(4, 8, 1, 1.0)])
+def test_product_sums_to_the_pointwise_product_sum(dim, n, form, theta):
+    # sum_q (f * g)(q) = sum_q f g once the unpaired -N/2 shell is dropped
+    sigma, (f, g, _) = trace_case(dim, n, form, theta)
+
+    def defect(u, v):
+        return sum_defect(star_product(u, v, sigma).values.sum(), np.sum(u.values * v.values))
+
+    assert defect(in_band(f, n // 2), in_band(g, n // 2)) <= 1e-13
+    # negative control: the full band, where -N/2 has no partner
+    assert defect(f, g) >= 8e-3
+
+
+@pytest.mark.parametrize("dim, n, form, theta", TRACE_D2 + [(4, 8, 0, 0.37), (4, 8, 3, 1.0)])
+def test_adjoint_product_sums_to_the_squared_norm(dim, n, form, theta):
+    # sum_q (f* * f)(q) = sum_q |f|^2 once the unpaired -N/2 shell is dropped
+    sigma, (f, _, _) = trace_case(dim, n, form, theta)
+    fb = in_band(f, n // 2)
+    lhs = star_product(involution(fb), fb, sigma).values.sum()
+    assert sum_defect(lhs, np.sum(np.abs(fb.values) ** 2)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim, n, form, theta", TRACE_D2 + [(4, 8, 2, 0.37)])
+def test_triple_product_sum_has_its_closed_form(dim, n, form, theta):
+    sigma, noise = trace_case(dim, n, form, theta)
+    f, g, h = (in_band(u, n // 4) for u in noise)
+    lhs = star_product(star_product(f, g, sigma), h, sigma).values.sum()
+    assert sum_defect(lhs, triple_sum_closed_form(f, g, h, sigma)) <= 1e-13
+    # negative control: -sigma in the closed form
+    assert sum_defect(lhs, triple_sum_closed_form(f, g, h, SkewForm(-sigma.matrix))) >= 8e-2
+
+
+def test_triple_product_sum_sees_the_ee_twist_d4():
+    # negative control: the kernel with sigma_EE zeroed, which drops its E-E twist
+    sigma, noise = trace_case(4, 8, 2, 0.37)
+    f, g, h = (in_band(u, 8 // 4) for u in noise)
+    product = without_ee_block(star_product)
+    lhs = product(product(f, g, sigma), h, sigma).values.sum()
+    assert sum_defect(lhs, triple_sum_closed_form(f, g, h, sigma)) >= 5.6e-3
 
 
 def test_product_is_covariant_under_space_axis_permutations_d4():

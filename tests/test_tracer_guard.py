@@ -6,12 +6,14 @@ crash traced benchmark runs; this guard fails first.  It only reads perfbench/.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
 from moyalorbit import covariance as cov
 from moyalorbit import grids, operators, star, suites
+from moyalorbit.cli import main
 from moyalorbit.geometry import SkewForm, Spacetime, make_boost
 from moyalorbit.grids import GridSpec
 from moyalorbit.oracle import GaussianFactor, SeparableGaussian
@@ -98,3 +100,49 @@ def test_traced_equivariance_suite_reports_as_untraced():
     assert summary["grids.shift_batch"]["calls"] > 0
     assert summary["covariance.tau_act"]["calls"] == summary["grids.shift_batch"]["calls"] // 2
     assert tracer.counts["grids.ramp_entries"] > 0
+
+
+def traced_main(argv) -> tuple:
+    """(calls per traced span name, counters) of one cli.main run under the tracer."""
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items() if row["calls"]}
+    return calls, dict(tracer.counts)
+
+
+def test_traced_cli_paths_record_their_spans_and_counters(tmp_path):
+    # the counters read read_grid's result and write_grid's and weyl.mul's
+    # arguments; grids.fft_points is left out, since it counts fft_forward and
+    # the forward_array inside it twice
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dim": 2, "metric": [1, -1], "grid": {"n": 32}}))
+    files = [str(tmp_path / name) for name in ("f.moya", "g.moya")]
+    factors = ["--factor=0,1.2,0", "--factor=0.1,1.3,0"]
+    for path in files:
+        assert main(["--config", str(cfg), "gauss", *factors, "--out", path]) == 0
+    star_argv = ["--config", str(cfg), "star", *files, "--oracle", "--out", str(tmp_path / "s")]
+    calls, counts = traced_main(star_argv)
+    assert calls == {
+        "cli.cmd_star": 1,
+        "gridio.read_grid": 2,
+        "gridio.write_grid": 1,
+        "star.star_product": 1,
+        "oracle.oracle_defect": 1,
+        "oracle.star_oracle_point": 1,
+        "grids.forward_array": 2,
+        "grids.inverse_array": 1,
+    }
+    counts.pop("grids.fft_points")
+    assert counts == {"gridio.bytes_read": 32_800, "gridio.bytes_written": 16_400}
+    calls, counts = traced_main(["verify", "--suite", "weyl", "--out", str(tmp_path / "v")])
+    assert calls == {
+        "cli.cmd_verify": 1,
+        "suites.suite_weyl": 1,
+        "geometry.sample_orbit": 1,
+        "weyl.mul": 400,
+    }
+    assert counts == {"weyl.mul.term_pairs": 400}
